@@ -25,8 +25,8 @@ vet:
 build:
 	$(GO) build ./...
 
-# The root package's differential suites (kill/resume sweeps, spatial and
-# static-proof harnesses, the ledger gates) legitimately exceed go test's
+# The root package's differential suites (kill/resume sweeps, the
+# static-proof harness, the ledger gates) legitimately exceed go test's
 # 600s default under the race detector — give them explicit headroom.
 test:
 	$(GO) test -race -timeout 30m ./...
@@ -62,8 +62,8 @@ bench:
 
 # Machine-readable flow performance record: per-circuit Analyze wall time,
 # ATPG time, the verdict-cache hit rate of a warm re-analysis, worker
-# scaling, the spatial-index scan columns, and the synthetic scale tier
-# (synth1k/synth10k through the Verilog ingest path).
+# scaling, the DFM scan time and bridge-pair reduction, and the synthetic
+# scale tier (synth1k/synth10k through the Verilog ingest path).
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
@@ -89,10 +89,10 @@ obs-smoke:
 # panics must print identical tables (stdout, with the wall-clock columns
 # stripped), and the chaos run's stderr must report recovered panics — i.e.
 # the injection actually fired and was absorbed. The awk filter drops the
-# perf/incr diagnostics and the Rtime column, exactly like the CLI test.
+# perf/prov diagnostics and the Rtime column, exactly like the CLI test.
 chaos-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	filter() { awk '$$2=="perf"||$$2=="incr"||$$2=="prov"{next} $$1~/%$$/||$$1=="none"{NF--} {print}' "$$1"; }; \
+	filter() { awk '$$2=="perf"||$$2=="prov"{next} $$1~/%$$/||$$1=="none"{NF--} {print}' "$$1"; }; \
 	$(GO) run ./cmd/dfmresyn -table2 -trace -circuit sparc_spu \
 		>"$$dir/clean.out" 2>/dev/null && \
 	$(GO) run ./cmd/dfmresyn -table2 -trace -circuit sparc_spu -chaospanic 0.05 \

@@ -1,9 +1,7 @@
 // BENCH_flow.json emitter: a machine-readable per-circuit record of the
-// flow's performance — Analyze wall time, the ATPG share of it, the
-// verdict-cache hit rate of a warm re-analysis, and the speedup of an
-// incremental physical re-analysis over a warm full one. Guarded by
-// BENCH_FLOW_OUT so plain `go test` stays silent; `make benchflow` writes
-// BENCH_flow.json.
+// flow's performance — Analyze wall time, the ATPG share of it, and the
+// verdict-cache hit rate of a warm re-analysis. Guarded by BENCH_FLOW_OUT
+// so plain `go test` stays silent; `make benchflow` writes BENCH_flow.json.
 package dfmresyn
 
 import (
@@ -35,20 +33,6 @@ type benchFlowRow struct {
 	WarmAnalyzeSec float64 `json:"warm_analyze_seconds"`
 	WarmATPGSecs   float64 `json:"warm_atpg_seconds"`
 	CacheHitRate   float64 `json:"warm_cache_hit_rate"`
-	// Incremental re-analysis of the same netlist against the cold
-	// design, with the same warm verdict cache as the warm row.
-	IncrAnalyzeSec float64 `json:"incr_analyze_seconds"`
-	IncrATPGSecs   float64 `json:"incr_atpg_seconds"`
-	IncrSpeedup    float64 `json:"incr_speedup"`
-	// The physical columns subtract the ATPG share from each side: ATPG
-	// runs against the same warm cache in both rows, so this ratio
-	// isolates what the dirty-region pipeline actually saves on
-	// place/route/DFM.
-	PhysFullSecs int64   `json:"warm_phys_micros"`
-	PhysIncrSecs int64   `json:"incr_phys_micros"`
-	PhysSpeedup  float64 `json:"phys_speedup"`
-	NetsReused   int     `json:"incr_nets_reused"`
-	NetsRerouted int     `json:"incr_nets_rerouted"`
 	// Backtrack tail of the static implication screen: the cold run
 	// above has the screen on (the flow default); a second cold run
 	// with -staticproof=off supplies the baseline. Avoided searches are
@@ -83,17 +67,16 @@ type benchFlowRow struct {
 	// Worker scaling: a second cold analysis pinned to one worker gives
 	// the serial baseline next to the default (NumCPU) pass above; the
 	// speedup is the ATPG-stage ratio, since only classification fans out.
+	// On a one-CPU machine that ratio measures pool overhead, not
+	// scaling, so the speedup column is only written when cpus > 1.
 	AnalyzeSecW1  float64 `json:"analyze_seconds_1worker"`
 	ATPGSecW1     float64 `json:"atpg_seconds_1worker"`
-	WorkerSpeedup float64 `json:"atpg_worker_speedup"`
-	// Spatial-index columns: wall time of one DFM scan over the cold
-	// layout with the grid index and with the naive full-die scans, and
-	// the candidate-work reductions behind the ratio (bridge pairs and
-	// density cell reads, examined vs naive).
-	DFMScanGridUS    int64   `json:"dfm_scan_micros"`
-	DFMScanNaiveUS   int64   `json:"dfm_scan_naive_micros"`
+	WorkerSpeedup float64 `json:"atpg_worker_speedup,omitempty"`
+	// DFM scan columns: wall time of one fault-universe build over the
+	// cold layout, and how many candidate bridge pairs the occupancy-grid
+	// scan examined against a naive all-pairs check.
+	DFMScanUS        int64   `json:"dfm_scan_micros"`
 	DFMPairReduction float64 `json:"dfm_pair_reduction"`
-	DFMCellReduction float64 `json:"dfm_cell_reduction"`
 	// Provenance of the cold analysis: the flight-recorder digest (the
 	// canonical ledger identity — two runs decided identically iff their
 	// digests agree, so regressions show up as a changed column) and the
@@ -110,8 +93,8 @@ type benchFlowRow struct {
 // benchFlowScaleRow records the large synthetic tier: circuits far beyond
 // the paper's 146–332 gates, ingested through the Verilog writer/reader
 // round trip (the external-netlist path the CLI's -fromverilog exercises)
-// and analyzed once. At this scale the spatial-index columns show the
-// asymptotic win the paper-size rows cannot.
+// and analyzed once. At this scale the pair-reduction column shows the
+// asymptotic gap the paper-size rows cannot.
 type benchFlowScaleRow struct {
 	Circuit          string  `json:"circuit"`
 	Gates            int     `json:"gates"`
@@ -119,10 +102,8 @@ type benchFlowScaleRow struct {
 	Tests            int     `json:"tests"`
 	AnalyzeSeconds   float64 `json:"analyze_seconds"`
 	ATPGSeconds      float64 `json:"atpg_seconds"`
-	DFMScanGridUS    int64   `json:"dfm_scan_micros"`
-	DFMScanNaiveUS   int64   `json:"dfm_scan_naive_micros"`
+	DFMScanUS        int64   `json:"dfm_scan_micros"`
 	DFMPairReduction float64 `json:"dfm_pair_reduction"`
-	DFMCellReduction float64 `json:"dfm_cell_reduction"`
 }
 
 type benchFlowReport struct {
@@ -136,18 +117,11 @@ type benchFlowReport struct {
 	Scale     []benchFlowScaleRow `json:"scale"`
 }
 
-// dfmScanTimes runs one DFM extraction over a finished layout per spatial
-// mode and returns the wall micros of each plus the grid run's stats; the
-// reductions in the stats are what the wall-time ratio is made of.
-func dfmScanTimes(t *testing.T, d *flow.Design, prof *dfm.LibraryProfile) (gridUS, naiveUS int64, stats dfm.ScanStats) {
-	t.Helper()
+// dfmScanMicros times one DFM fault-universe build over a finished layout.
+func dfmScanMicros(d *flow.Design, prof *dfm.LibraryProfile) int64 {
 	t0 := time.Now()
-	_, _, _, stats = dfm.BuildFaultsScanStats(d.C, d.Lay, prof, geom.SpatialGrid)
-	gridUS = time.Since(t0).Microseconds()
-	t1 := time.Now()
-	dfm.BuildFaultsScanStats(d.C, d.Lay, prof, geom.SpatialOff)
-	naiveUS = time.Since(t1).Microseconds()
-	return gridUS, naiveUS, stats
+	dfm.BuildFaults(d.C, d.Lay, prof)
+	return time.Since(t0).Microseconds()
 }
 
 func TestBenchFlowJSON(t *testing.T) {
@@ -165,8 +139,8 @@ func TestBenchFlowJSON(t *testing.T) {
 		env.FaultCache = fcache.New()
 		env.Obs = obs.New()
 		// Flight recorder over the cold analysis only: its digest is the
-		// run's provenance identity, detached before the warm/incremental
-		// passes so the column stays a pure function of the cold run.
+		// run's provenance identity, detached before the warm pass so the
+		// column stays a pure function of the cold run.
 		var ledgerBuf bytes.Buffer
 		ledger := obs.NewLedger(&ledgerBuf)
 		env.Ledger = ledger
@@ -184,7 +158,7 @@ func TestBenchFlowJSON(t *testing.T) {
 		}
 
 		// Screen-on engine counters for the cold run, read before the
-		// warm and incremental analyses add to the same registry.
+		// warm analysis adds to the same registry.
 		scrSearches := env.Obs.Registry().Counter("atpg/podem_searches").Get()
 		scrBacktracks := env.Obs.Registry().Counter("atpg/podem_backtracks").Get()
 
@@ -252,19 +226,6 @@ func TestBenchFlowJSON(t *testing.T) {
 			hit = float64(warm.Result.CacheHits) / float64(warm.Result.CacheLookups)
 		}
 
-		t2 := time.Now()
-		incr, err := env.AnalyzeIncremental(c, cold)
-		if err != nil {
-			t.Fatalf("%s incremental: %v", name, err)
-		}
-		incrAnalyze := time.Since(t2)
-		// The incremental pipeline must reproduce the full pipeline's
-		// fault universe exactly (ATPG metric rows can differ across
-		// cache states, the universe cannot).
-		if msg := dfm.DiffUniverse(warm.Faults, warm.DFMRep, incr.Faults, incr.DFMRep); msg != "" {
-			t.Fatalf("%s: incremental fault universe diverges: %s", name, msg)
-		}
-
 		row := benchFlowRow{
 			Circuit:        name,
 			Gates:          len(cold.C.Gates),
@@ -275,10 +236,6 @@ func TestBenchFlowJSON(t *testing.T) {
 			WarmAnalyzeSec: warmAnalyze.Seconds(),
 			WarmATPGSecs:   warm.ATPGTime.Seconds(),
 			CacheHitRate:   hit,
-			IncrAnalyzeSec: incrAnalyze.Seconds(),
-			IncrATPGSecs:   incr.ATPGTime.Seconds(),
-			NetsReused:     incr.Incr.RouteReused,
-			NetsRerouted:   incr.Incr.RouteRerouted,
 
 			StaticProven:     cold.Result.StaticProven,
 			SearchesNoScreen: offSearches,
@@ -303,22 +260,11 @@ func TestBenchFlowJSON(t *testing.T) {
 		}
 		row.AnalyzeSecW1 = w1Analyze.Seconds()
 		row.ATPGSecW1 = w1.ATPGTime.Seconds()
-		if s := cold.ATPGTime.Seconds(); s > 0 {
+		if s := cold.ATPGTime.Seconds(); s > 0 && rep.CPUs > 1 {
 			row.WorkerSpeedup = w1.ATPGTime.Seconds() / s
 		}
-		row.DFMScanGridUS, row.DFMScanNaiveUS, _ = dfmScanTimes(t, cold, env.Prof)
+		row.DFMScanUS = dfmScanMicros(cold, env.Prof)
 		row.DFMPairReduction = cold.DFMStats.PairReduction()
-		row.DFMCellReduction = cold.DFMStats.CellReduction()
-		if s := incrAnalyze.Seconds(); s > 0 {
-			row.IncrSpeedup = warmAnalyze.Seconds() / s
-		}
-		physFull := warmAnalyze - warm.ATPGTime
-		physIncr := incrAnalyze - incr.ATPGTime
-		row.PhysFullSecs = physFull.Microseconds()
-		row.PhysIncrSecs = physIncr.Microseconds()
-		if physIncr > 0 {
-			row.PhysSpeedup = float64(physFull) / float64(physIncr)
-		}
 		row.LedgerDigest = ledger.Digest()
 		row.Tiers = cold.Result.Tiers
 		snap, err := json.Marshal(env.Obs.Registry().Snapshot())
@@ -346,7 +292,6 @@ func TestBenchFlowJSON(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		analyze := time.Since(t0)
-		gridUS, naiveUS, _ := dfmScanTimes(t, d, env.Prof)
 		red := d.DFMStats.PairReduction()
 		if name == "synth10k" && red < 10 {
 			t.Errorf("synth10k pair reduction %.1fx, want >= 10x", red)
@@ -358,10 +303,8 @@ func TestBenchFlowJSON(t *testing.T) {
 			Tests:            len(d.Result.Tests),
 			AnalyzeSeconds:   analyze.Seconds(),
 			ATPGSeconds:      d.ATPGTime.Seconds(),
-			DFMScanGridUS:    gridUS,
-			DFMScanNaiveUS:   naiveUS,
+			DFMScanUS:        dfmScanMicros(d, env.Prof),
 			DFMPairReduction: red,
-			DFMCellReduction: d.DFMStats.CellReduction(),
 		})
 	}
 

@@ -26,18 +26,12 @@
 //     imply good != faulty there, and the detection clause demands at least
 //     one difference. A cone that reaches no primary output is undetectable
 //     without solving.
-//
-// Static implications (internal/implic, seed mode) are asserted as unit
-// clauses (constants) and binary clauses (learned pairs) over the good
-// variables. They are consequences of circuit consistency, so they never
-// exclude a real witness — they only sharpen unit propagation.
 package atpg
 
 import (
 	"math/rand"
 
 	"dfmresyn/internal/fault"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/netlist"
 	"dfmresyn/internal/sat"
 )
@@ -58,15 +52,12 @@ type SATStats struct {
 // solver. It is stateless across faults (each Resolve builds fresh solver
 // instances), so one escalator may be shared by concurrent workers.
 type Escalator struct {
-	c   *netlist.Circuit
-	eng *implic.Engine // optional: implications seeded as clauses
+	c *netlist.Circuit
 }
 
-// NewEscalator prepares an escalation tier over c. eng, when non-nil, is a
-// static implication engine over the same circuit whose facts are seeded
-// into every encoding; nil skips the seeding.
-func NewEscalator(c *netlist.Circuit, eng *implic.Engine) *Escalator {
-	return &Escalator{c: c, eng: eng}
+// NewEscalator prepares an escalation tier over c.
+func NewEscalator(c *netlist.Circuit) *Escalator {
+	return &Escalator{c: c}
 }
 
 // Resolve runs the complete SAT escalation for fault f and returns a
@@ -328,8 +319,6 @@ func (e *Escalator) solveDetect(inj injection, conds []condition, st *SATStats, 
 		diffs = append(diffs, sat.MkLit(d, false))
 	}
 	ci.s.AddClause(diffs...)
-
-	e.seedImplications(ci)
 	return ci.solve(st, rng)
 }
 
@@ -368,7 +357,6 @@ func (e *Escalator) solveJustify(conds []condition, st *SATStats, rng *rand.Rand
 	for _, cd := range conds {
 		ci.s.AddClause(sat.PosLit(int(ci.gvar[cd.net.ID]), cd.val))
 	}
-	e.seedImplications(ci)
 	return ci.solve(st, rng)
 }
 
@@ -466,34 +454,6 @@ func (ci *cnfInst) injectSite(inj injection, site *netlist.Net) {
 		gv := int(ci.gvar[site.ID])
 		ci.s.AddClause(sat.MkLit(fv, false), sat.MkLit(gv, false))
 		ci.s.AddClause(sat.MkLit(fv, true), sat.MkLit(gv, true))
-	}
-}
-
-// seedImplications asserts the static engine's facts over the instance's
-// good variables: constants as unit clauses and learned implication pairs as
-// binary clauses. Facts mentioning nets outside the encoded support are
-// skipped — they cannot constrain anything the instance reasons about.
-func (e *Escalator) seedImplications(ci *cnfInst) {
-	if e.eng == nil {
-		return
-	}
-	e.eng.ForEachConstant(func(n int, v uint8) {
-		if ci.gvar[n] >= 0 {
-			ci.s.AddClause(sat.PosLit(int(ci.gvar[n]), v))
-		}
-	})
-	for _, n := range ci.c.Nets {
-		if ci.gvar[n.ID] < 0 || n.IsPI {
-			continue
-		}
-		for _, val := range []uint8{0, 1} {
-			from := sat.PosLit(int(ci.gvar[n.ID]), val).Neg()
-			e.eng.ForEachImplied(implic.MkLit(n.ID, val), func(m int, w uint8) {
-				if ci.gvar[m] >= 0 {
-					ci.s.AddClause(from, sat.PosLit(int(ci.gvar[m]), w))
-				}
-			})
-		}
 	}
 }
 

@@ -73,39 +73,6 @@ func TestBBox(t *testing.T) {
 	}
 }
 
-func TestRegion(t *testing.T) {
-	var r Region
-	if !r.Empty() || r.Intersects(Rect{0, 0, 10, 10}) || r.Contains(Pt{1, 1}) {
-		t.Error("zero region must be empty")
-	}
-	r.Add(Rect{1, 1, 1, 5}) // empty rect dropped
-	if !r.Empty() {
-		t.Error("empty rects must be dropped")
-	}
-	r.Add(Rect{2, 2, 4, 4})
-	r.Add(Rect{6, 0, 7, 1})
-	if !r.Intersects(Rect{3, 3, 10, 10}) || r.Intersects(Rect{4, 4, 6, 6}) {
-		t.Error("Intersects wrong")
-	}
-	if !r.Contains(Pt{6, 0}) || r.Contains(Pt{5, 5}) {
-		t.Error("Contains wrong")
-	}
-	mask := r.Mask(Rect{0, 0, 8, 8})
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			if mask[y*8+x] != r.Contains(Pt{x, y}) {
-				t.Fatalf("mask(%d,%d) = %v disagrees with Contains", x, y, mask[y*8+x])
-			}
-		}
-	}
-	// Rects partly outside the bounds are clipped, not dropped.
-	r.Add(Rect{-2, -2, 1, 1})
-	mask = r.Mask(Rect{0, 0, 8, 8})
-	if !mask[0] {
-		t.Error("clipped rect must still mark in-bounds cells")
-	}
-}
-
 func TestWindowsCoverage(t *testing.T) {
 	bounds := Rect{0, 0, 10, 10}
 	covered := make([][]bool, 10)

@@ -1,45 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"sort"
-)
-
-// SpatialMode selects the geometry engine behind the physical hot paths:
-// the uniform grid-bucket index (the default) or the naive linear and
-// pairwise scans it replaced, kept as a differential baseline and escape
-// hatch (`-spatial=off`). Both modes are exact — they must produce
-// byte-identical layouts, fault universes and tables; the root
-// spatial_test.go harness enforces that contract.
-type SpatialMode int
-
-const (
-	// SpatialGrid indexes segments/rects in uniform grid buckets with
-	// deterministic, ID-ordered iteration. The zero value, so a
-	// zero-valued flow.Env gets the production engine.
-	SpatialGrid SpatialMode = iota
-	// SpatialOff uses the original linear scans everywhere.
-	SpatialOff
-)
-
-// String names the mode the way the -spatial flag spells it.
-func (m SpatialMode) String() string {
-	if m == SpatialOff {
-		return "off"
-	}
-	return "grid"
-}
-
-// ParseSpatialMode parses a -spatial flag value.
-func ParseSpatialMode(s string) (SpatialMode, error) {
-	switch s {
-	case "grid":
-		return SpatialGrid, nil
-	case "off":
-		return SpatialOff, nil
-	}
-	return SpatialGrid, fmt.Errorf("geom: unknown spatial mode %q (want grid or off)", s)
-}
+import "sort"
 
 // GridItem is one indexed rectangle.
 type GridItem struct {
@@ -65,10 +26,10 @@ type Grid struct {
 	n      int
 }
 
-// DefaultGridCell is the bucket edge length used by the physical pipeline:
-// large enough that small dies stay in a handful of buckets (near-zero
-// overhead), small enough that 10k-gate dies cut candidate sets by orders
-// of magnitude. It matches the smaller DFM density window.
+// DefaultGridCell is the bucket edge length the placement legality check
+// uses: large enough that small dies stay in a handful of buckets
+// (near-zero overhead), small enough that 10k-gate dies cut candidate sets
+// by orders of magnitude.
 const DefaultGridCell = 8
 
 // NewGrid builds an empty index over bounds with the given bucket edge
@@ -115,7 +76,7 @@ func (g *Grid) bucketSpan(r Rect) (bx0, by0, bx1, by1 int) {
 }
 
 // Insert adds the rectangle under the given ID; empty rectangles are
-// dropped (matching Region.Add). IDs need not be unique.
+// dropped. IDs need not be unique.
 func (g *Grid) Insert(id int32, r Rect) {
 	if r.Area() <= 0 {
 		return
@@ -131,8 +92,7 @@ func (g *Grid) Insert(id int32, r Rect) {
 	g.n++
 }
 
-// Intersects reports whether any inserted rectangle overlaps r — the
-// existence query behind the incremental router's dirty test. Exact: the
+// Intersects reports whether any inserted rectangle overlaps r. Exact: the
 // answer equals a brute-force scan over every inserted rectangle.
 func (g *Grid) Intersects(r Rect) bool {
 	if r.Area() <= 0 || g.n == 0 {
@@ -215,45 +175,4 @@ func (g *Grid) Pairs(visit func(a, b GridItem)) int64 {
 		}
 	}
 	return examined
-}
-
-// CellSet accumulates grid cells and serves them as a sorted, deduplicated
-// slice in scan order (row-major: Y, then X) — the occupied-cell set the
-// indexed DFM bridge scan iterates instead of the whole die. Adds are O(1)
-// appends; normalization is deferred to the first Cells call after a
-// mutation. The zero value is an empty set.
-type CellSet struct {
-	pts    []Pt
-	sorted bool
-}
-
-// Add records a cell. Duplicates are allowed and removed on read.
-func (s *CellSet) Add(p Pt) {
-	s.pts = append(s.pts, p)
-	s.sorted = false
-}
-
-// Len returns the number of distinct cells.
-func (s *CellSet) Len() int { return len(s.Cells()) }
-
-// Cells returns the distinct cells sorted by (Y, X). The returned slice is
-// owned by the set; callers must not modify it.
-func (s *CellSet) Cells() []Pt {
-	if !s.sorted {
-		sort.Slice(s.pts, func(i, j int) bool {
-			if s.pts[i].Y != s.pts[j].Y {
-				return s.pts[i].Y < s.pts[j].Y
-			}
-			return s.pts[i].X < s.pts[j].X
-		})
-		out := s.pts[:0]
-		for i, p := range s.pts {
-			if i == 0 || p != s.pts[i-1] {
-				out = append(out, p)
-			}
-		}
-		s.pts = out
-		s.sorted = true
-	}
-	return s.pts
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Edge cases the grid and region must agree on: zero-area rects never
+// Edge cases the grid relies on: zero-area rects never
 // intersect anything, touching edges (half-open) do not overlap, and
 // negative coordinates behave like positive ones.
 func TestRectEdgeCases(t *testing.T) {
@@ -49,27 +49,6 @@ func TestRectEdgeCases(t *testing.T) {
 	}
 	if !n1.Contains(Pt{-6, -6}) || n1.Contains(Pt{-2, -2}) {
 		t.Error("negative-coord Contains must stay half-open")
-	}
-}
-
-func TestRegionEdgeCases(t *testing.T) {
-	var r Region
-	r.Add(Rect{-5, -5, -1, -1})
-	r.Add(Rect{2, 2, 2, 9}) // zero-area: dropped
-	if len(r.Rects) != 1 {
-		t.Fatalf("zero-area rect not dropped: %+v", r.Rects)
-	}
-	if !r.Intersects(Rect{-2, -2, 3, 3}) {
-		t.Error("negative-coord region intersection missed")
-	}
-	if r.Intersects(Rect{-1, -5, 4, -1}) {
-		t.Error("edge-touching query must not intersect region")
-	}
-	if r.Intersects(Rect{0, 0, 0, 10}) {
-		t.Error("zero-area query must not intersect region")
-	}
-	if !r.Contains(Pt{-5, -5}) || r.Contains(Pt{-1, -1}) {
-		t.Error("region Contains must stay half-open at negative coords")
 	}
 }
 
@@ -230,48 +209,5 @@ func TestGridEmptyBounds(t *testing.T) {
 	g.Insert(1, Rect{0, 0, 2, 2}) // clamped into the single bucket
 	if got := g.Query(nil, Rect{-1, -1, 3, 3}); !reflect.DeepEqual(got, []int32{1}) {
 		t.Fatalf("empty-bounds grid query = %v", got)
-	}
-}
-
-func TestCellSet(t *testing.T) {
-	var s CellSet
-	if s.Len() != 0 {
-		t.Fatal("zero CellSet must be empty")
-	}
-	s.Add(Pt{3, 1})
-	s.Add(Pt{0, 2})
-	s.Add(Pt{3, 1}) // duplicate
-	s.Add(Pt{1, 1})
-	want := []Pt{{1, 1}, {3, 1}, {0, 2}}
-	if got := s.Cells(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Cells = %v, want %v (scan order, deduped)", got, want)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	// Mutation after a read re-normalizes.
-	s.Add(Pt{0, 0})
-	if got := s.Cells(); got[0] != (Pt{0, 0}) {
-		t.Fatalf("Cells after second Add = %v", got)
-	}
-}
-
-func TestSpatialModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SpatialMode
-		err  bool
-	}{{"grid", SpatialGrid, false}, {"off", SpatialOff, false}, {"rtree", SpatialGrid, true}} {
-		got, err := ParseSpatialMode(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseSpatialMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if SpatialGrid.String() != "grid" || SpatialOff.String() != "off" {
-		t.Error("String round-trip wrong")
-	}
-	var zero SpatialMode
-	if zero != SpatialGrid {
-		t.Error("zero SpatialMode must be the grid (production default)")
 	}
 }

@@ -230,7 +230,6 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"off", implic.ModeOff},
 		{"screen", implic.ModeScreen},
-		{"seed", implic.ModeSeed},
 	} {
 		m, err := implic.ParseMode(tc.in)
 		if err != nil || m != tc.want {
@@ -240,15 +239,17 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("Mode(%v).String() = %q, want %q", m, m.String(), tc.in)
 		}
 	}
-	if _, err := implic.ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) should fail")
+	for _, bad := range []string{"bogus", "seed"} {
+		if _, err := implic.ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) should fail", bad)
+		}
 	}
 }
 
-// TestSeededSearchAgreesOnMux runs every stuck-at fault of an
-// irredundant circuit through plain and implication-seeded PODEM: both
-// must find tests (seeding must not break completeness or soundness).
-func TestSeededSearchAgreesOnMux(t *testing.T) {
+// TestScreenAgreesOnMux runs every stuck-at fault of an irredundant
+// circuit through the screen and through PODEM: the screen must prove
+// nothing undetectable, and PODEM must find a test for every fault.
+func TestScreenAgreesOnMux(t *testing.T) {
 	c := netlist.New("mux", lib)
 	a := c.AddPI("a")
 	b := c.AddPI("b")
@@ -270,10 +271,9 @@ func TestSeededSearchAgreesOnMux(t *testing.T) {
 				continue
 			}
 			g := atpg.NewGenerator(c, order, levels, 100000)
-			g.SeedImplications(e)
 			out, tv := g.Generate(f, rand.New(rand.NewSource(3)))
 			if out != atpg.FoundTest || tv == nil {
-				t.Errorf("seeded search: sa%d@%s outcome %v, want test", v, n.Name, out)
+				t.Errorf("search: sa%d@%s outcome %v, want test", v, n.Name, out)
 			}
 		}
 	}

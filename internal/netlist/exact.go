@@ -14,7 +14,7 @@ import (
 //
 // Write emits gates in levelized order, which is the right canonical form
 // for humans and for the netlint loader but loses the in-memory Nets/Gates
-// sequence. The incremental physical pipeline is order-sensitive by design
+// sequence. Re-analyzing a rebuilt circuit is order-sensitive by design
 // (ReorderLike appends elements *new* to the previous design in the
 // circuit's own order, and the placer and router consume that order), so a
 // journaled committed circuit must round-trip the exact sequence — a

@@ -7,9 +7,9 @@ import "sort"
 // prev (matched by name) keeps prev's relative order, and elements new to c
 // are appended in c's own order. RebuildReplacing splits the unchanged logic
 // around the replaced region, which inverts the relative order of kept
-// elements; the incremental physical pipeline needs that order restored —
-// the router reuses previous geometry only when the kept nets route in the
-// same sequence, so congestion outside the dirty region replays exactly.
+// elements; the ECO re-analysis of a rebuilt circuit restores that order —
+// the router walks nets in ID order and each net sees the congestion of the
+// nets routed before it, so the order decides the layout.
 //
 // The PI and PO interface order of c is preserved, c itself is left
 // untouched, and the copy satisfies Check.

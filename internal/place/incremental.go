@@ -9,18 +9,6 @@ import (
 	"dfmresyn/internal/netlist"
 )
 
-// Diff records the cell-level changes an incremental placement made
-// relative to its predecessor: how many gates were placed fresh, how many
-// prev gates disappeared, and the union of every footprint that changed
-// (fresh placements, freed footprints of removed or resized gates, and any
-// pad that moved). Region seeds the dirty area the incremental router
-// expands.
-type Diff struct {
-	NewGates     int
-	RemovedGates int
-	Region       geom.Region
-}
-
 // PlaceIncremental places circuit c into the same die as prev, keeping
 // every gate that also exists in prev's circuit (matched by instance name)
 // at its previous location — an ECO-style placement. New gates are packed
@@ -28,9 +16,7 @@ type Diff struct {
 // among themselves only, so the unchanged part of the design keeps its
 // timing behavior. It fails when the new gates do not fit, which the
 // resynthesis flow reports as an area-constraint violation.
-//
-// The returned Diff covers every cell whose placement differs from prev.
-func PlaceIncremental(c *netlist.Circuit, prev *Placement, seed int64) (*Placement, *Diff, error) {
+func PlaceIncremental(c *netlist.Circuit, prev *Placement, seed int64) (*Placement, error) {
 	die := prev.Die
 	p := &Placement{
 		C:    c,
@@ -102,55 +88,13 @@ func PlaceIncremental(c *netlist.Circuit, prev *Placement, seed int64) (*Placeme
 			}
 		}
 		if !placed {
-			return nil, nil, fmt.Errorf("%w: incremental placement out of space for %s", ErrConstraint, g.Name)
+			return nil, fmt.Errorf("%w: incremental placement out of space for %s", ErrConstraint, g.Name)
 		}
 	}
 
 	p.placePads()
 	p.refineAmong(newGates, seed)
-
-	// Dirty diff: freed footprints of removed/resized prev gates, the
-	// final footprints of fresh placements (after refinement), and any pad
-	// that moved.
-	diff := &Diff{NewGates: len(newGates)}
-	cur := make(map[string]*netlist.Gate, len(c.Gates))
-	for _, g := range c.Gates {
-		cur[g.Name] = g
-	}
-	footprint := func(loc geom.Pt, w int) geom.Rect {
-		return geom.Rect{X0: loc.X, Y0: loc.Y, X1: loc.X + w, Y1: loc.Y + 1}
-	}
-	for _, pg := range prev.C.Gates {
-		ng, ok := cur[pg.Name]
-		if !ok {
-			diff.RemovedGates++
-			diff.Region.Add(footprint(prev.Loc[pg.ID], prev.W[pg.ID]))
-			continue
-		}
-		if prev.W[pg.ID] != p.W[ng.ID] {
-			// Resized: treated as removed + new; its old footprint frees.
-			diff.Region.Add(footprint(prev.Loc[pg.ID], prev.W[pg.ID]))
-		}
-	}
-	for _, g := range newGates {
-		diff.Region.Add(footprint(p.Loc[g.ID], p.W[g.ID]))
-	}
-	pad := func(prevPads, pads []geom.Pt) {
-		for i := range pads {
-			if i >= len(prevPads) {
-				diff.Region.Add(footprint(pads[i], 1))
-			} else if prevPads[i] != pads[i] {
-				diff.Region.Add(footprint(prevPads[i], 1))
-				diff.Region.Add(footprint(pads[i], 1))
-			}
-		}
-		for i := len(pads); i < len(prevPads); i++ {
-			diff.Region.Add(footprint(prevPads[i], 1))
-		}
-	}
-	pad(prev.PIPad, p.PIPad)
-	pad(prev.POPad, p.POPad)
-	return p, diff, nil
+	return p, nil
 }
 
 // refineAmong runs HPWL-improving swaps restricted to the given gates.

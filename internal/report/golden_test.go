@@ -62,8 +62,6 @@ func TestTablesGolden(t *testing.T) {
 	b.WriteString(PerfRow("aes_core", 4, 12.345, 0, 0, 0, -1, 13, -1, 0) + "\n")
 	// A screen/tier that ran but had nothing to do still reports zeros.
 	b.WriteString(PerfRow("aes_core", 4, 12.345, 0, 0, 0, 0, 0, 0, 0) + "\n")
-	b.WriteString(IncrRow("aes_core", 17, 4210, 390) + "\n")
-	b.WriteString(IncrRow("empty", 0, 0, 0) + "\n")
 	b.WriteString(ResilienceRow("aes_core", 12, 1, 3, 5) + "\n")
 	// The quiet run: all-zero counters must still render every field, so
 	// log scrapers get a stable schema.

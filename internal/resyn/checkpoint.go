@@ -59,7 +59,7 @@ type commitRecord struct {
 	BtAcc    int    `json:"btAcc"`
 	// Circuit is the committed design's netlist in the exact-order codec
 	// (netlist.WriteExact); the element order is part of the resumable
-	// state, since the incremental physical pipeline is order-sensitive.
+	// state, since the ECO placement and the router are order-sensitive.
 	Circuit string `json:"circuit"`
 }
 

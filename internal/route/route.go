@@ -85,31 +85,7 @@ type Layout struct {
 	// means tracks packed at minimum pitch (or overflow) — exactly the
 	// situations DFM spacing guidelines target.
 	Occ [2][][]([]int32)
-
-	// occCells tracks, per layer, the set of cells with at least one
-	// occupant. The DFM bridge scan iterates this set in scan order
-	// instead of walking the whole die; empty cells can never trigger a
-	// spacing guideline, so the iteration is byte-identical to a full
-	// walk at a fraction of the cost.
-	occCells [2]geom.CellSet
 }
-
-// commit appends id to the occupancy list of one cell (out-of-die points
-// are ignored) and keeps the occupied-cell set current. Every occupancy
-// write — fresh routing and incremental replay alike — goes through here.
-func (lay *Layout) commit(li int, p geom.Pt, id int32) {
-	if !lay.P.Die.Contains(p) {
-		return
-	}
-	if len(lay.Occ[li][p.Y][p.X]) == 0 {
-		lay.occCells[li].Add(p)
-	}
-	lay.Occ[li][p.Y][p.X] = append(lay.Occ[li][p.Y][p.X], id)
-}
-
-// OccCells returns the distinct occupied cells of a routing layer in scan
-// order (row-major: Y, then X). The slice is owned by the layout.
-func (lay *Layout) OccCells(li int) []geom.Pt { return lay.occCells[li].Cells() }
 
 // SegPairsNaive returns the number of segment pairs an all-pairs per-layer
 // proximity check would examine on this layout — the naive-cost baseline
@@ -260,8 +236,11 @@ func (lay *Layout) connect(nr *NetRoute, a, b geom.Pt) {
 		seg := Seg{Layer: l, A: minPt(from, to), B: maxPt(from, to)}
 		nr.Segs = append(nr.Segs, seg)
 		dx, dy := sign(to.X-from.X), sign(to.Y-from.Y)
+		li := int(l - M2)
 		for p := from; ; p = p.Add(dx, dy) {
-			lay.commit(int(l-M2), p, id)
+			if lay.P.Die.Contains(p) {
+				lay.Occ[li][p.Y][p.X] = append(lay.Occ[li][p.Y][p.X], id)
+			}
 			if p == to {
 				break
 			}

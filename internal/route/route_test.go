@@ -220,36 +220,6 @@ func dedupTestPts(pts []geom.Pt) []geom.Pt {
 	return out
 }
 
-// TestOccCellsMatchesOccupancy: the maintained occupied-cell list is exactly
-// the non-empty occupancy cells, in scan order (row-major, ascending),
-// without duplicates — the contract the DFM bridge scan's merged walk and
-// the density index both build on.
-func TestOccCellsMatchesOccupancy(t *testing.T) {
-	for _, seed := range []int64{1, 5, 13} {
-		lay := routed(t, seed, 90)
-		die := lay.P.Die
-		for li := 0; li < 2; li++ {
-			var want []geom.Pt
-			for y := die.Y0; y < die.Y1; y++ {
-				for x := die.X0; x < die.X1; x++ {
-					if len(lay.Occ[li][y][x]) > 0 {
-						want = append(want, geom.Pt{X: x, Y: y})
-					}
-				}
-			}
-			got := lay.OccCells(li)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d layer %d: %d occupied cells, want %d", seed, li, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d layer %d cell %d: %v, want %v", seed, li, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkRoute measures the full router on a mid-size placement,
 // allocations included — the routing half of the physical hot path.
 func BenchmarkRoute(b *testing.B) {

@@ -359,28 +359,30 @@ func (s *Server) runJob(j *Job) {
 		}
 		break
 	}
+	// Each outcome counter is bumped before setState publishes the job's
+	// final state, so anyone who observes the state also sees the count.
 	switch {
 	case err == nil:
-		s.setState(j, StateDone, "", res)
 		s.tracer.Counter("serve/jobs_completed").Inc()
+		s.setState(j, StateDone, "", res)
 	case errors.Is(err, errJobPanicked):
-		s.setState(j, StateFailed, err.Error(), nil)
 		s.tracer.Counter("serve/jobs_quarantined").Inc()
+		s.setState(j, StateFailed, err.Error(), nil)
 	case errors.Is(err, resilience.ErrInterrupted) &&
 		jobCtx.Err() == context.DeadlineExceeded && s.baseCtx.Err() == nil:
 		// The job's own deadline expired while the server kept running: a
 		// deterministic job that timed out once would time out on every
 		// resume, so re-admission would crash-loop. Fail it.
-		s.setState(j, StateFailed, fmt.Sprintf("serve: job deadline %v exceeded", s.opt.JobTimeout), nil)
 		s.tracer.Counter("serve/jobs_deadline_failed").Inc()
+		s.setState(j, StateFailed, fmt.Sprintf("serve: job deadline %v exceeded", s.opt.JobTimeout), nil)
 	case errors.Is(err, resilience.ErrInterrupted):
 		// Drain or StopAfterCommits: the consistent prefix is journaled;
 		// the job is re-admittable and resumes where it stopped.
-		s.setState(j, StateInterrupted, err.Error(), nil)
 		s.tracer.Counter("serve/jobs_interrupted").Inc()
+		s.setState(j, StateInterrupted, err.Error(), nil)
 	default:
-		s.setState(j, StateFailed, err.Error(), nil)
 		s.tracer.Counter("serve/jobs_failed").Inc()
+		s.setState(j, StateFailed, err.Error(), nil)
 	}
 }
 
