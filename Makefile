@@ -67,13 +67,17 @@ bench:
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
-# Fast benchmark gate: every physical-path microbenchmark compiles and runs
-# one iteration under the race detector, and the 10k-gate tier builds and
-# checks cleanly — so `make check` catches a bit-rotted benchmark or scale
-# circuit without paying for a full -bench run.
+# Fast benchmark gate: every physical-path microbenchmark and the two ATPG
+# hot-loop microbenchmarks (event-driven fault simulation of one block over
+# synth1k's faults, and synth1k's PODEM searches) compile and run one
+# iteration under the race detector, and the 10k-gate tier builds and checks
+# cleanly — so `make check` catches a bit-rotted benchmark or scale circuit
+# without paying for a full -bench run.
 bench-smoke:
-	$(GO) test -race -run 'TestScaleCircuits' -bench 'BenchmarkBuildFaults|BenchmarkRoute' \
-		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/
+	$(GO) test -race -run 'TestScaleCircuits' \
+		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate' \
+		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
+		./internal/faultsim/ ./internal/atpg/
 
 # End-to-end smoke test of the observability exports: run the CLI on the
 # fastest benchmark with tracing on, then validate both files with obscheck
@@ -139,10 +143,12 @@ sat-smoke:
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -v -timeout 15m ./cmd/dfmserve/
 
-# Short fuzz passes over every hand-rolled parser/decoder: the canonical
+# Short fuzz passes over every hand-rolled parser/decoder — the canonical
 # netlist reader, the exact-order checkpoint codec, the journal envelope,
-# and the sweep-checkpoint loader. Corpora grow under -fuzztime as long as
-# you let them run.
+# and the sweep-checkpoint loader — and over the differential engine checks
+# (static implication, CNF encoding, event-driven fault simulation against
+# the whole-circuit reference). Corpora grow under -fuzztime as long as you
+# let them run.
 fuzz:
 	$(GO) test -fuzz=FuzzRead$$ -fuzztime=30s ./internal/netlist/
 	$(GO) test -fuzz=FuzzReadExact -fuzztime=30s ./internal/netlist/
@@ -150,5 +156,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/resyn/
 	$(GO) test -fuzz=FuzzImplic -fuzztime=30s ./internal/implic/
 	$(GO) test -fuzz=FuzzCNF -fuzztime=30s ./internal/atpg/
+	$(GO) test -fuzz=FuzzDetects -fuzztime=30s ./internal/faultsim/
 	$(GO) test -fuzz=FuzzLedger -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzVstore -fuzztime=30s ./internal/vstore/

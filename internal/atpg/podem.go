@@ -6,6 +6,7 @@ package atpg
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dfmresyn/internal/fault"
@@ -61,10 +62,17 @@ type injection struct {
 }
 
 // podem is one complete-search engine instance over a circuit.
+//
+// Every search is bounded by its cone (see buildCone): implication, the
+// D-frontier scan, the detection check and the free-PI choice visit only the
+// cone's gates, nets and PIs. Values of nets outside the cone are left over
+// from earlier searches and are never read.
 type podem struct {
 	c      *netlist.Circuit
 	order  []*netlist.Gate
 	levels []int
+	pos    []int32 // gate ID -> position in order
+	piIdx  []int32 // net ID -> position in c.PIs, -1 for other nets
 
 	vals  []logic.V5 // per net, current implied values
 	good  []logic.V5 // per net, good-circuit ternary values (0/1/X as V5)
@@ -77,11 +85,29 @@ type podem struct {
 	btTotal    int // cumulative backtracks across every search (telemetry)
 	limit      int
 
-	// reusable scratch
-	xreach []bool
+	// The current search's cone: region is the site's structural fanout
+	// region, cone the gates of the transitive fanin of the region, the
+	// conditions and the bridge source in order, conePIs its PI positions
+	// ascending and conePOs its PO nets.
+	region  []*netlist.Net
+	cone    []*netlist.Gate
+	conePIs []int
+	conePOs []*netlist.Net
 
-	// v5tab caches per-cell five-valued evaluation tables.
-	v5tab map[*library.Cell]*logic.V5Table
+	// mark is an epoch-stamped visited set: mark[n] == epoch means net n
+	// was reached by the current sweep, so a sweep starts with one
+	// increment instead of clearing a per-net array.
+	mark  []uint32
+	epoch uint32
+
+	// reusable scratch
+	queue    []*netlist.Net
+	frontier []*netlist.Gate
+	gpos     []int32
+
+	// v5tab holds each gate's five-valued evaluation table, by gate ID;
+	// gates of one cell share the cell's table.
+	v5tab []*logic.V5Table
 }
 
 func newPodem(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int) *podem {
@@ -89,24 +115,120 @@ func newPodem(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int
 		c:      c,
 		order:  order,
 		levels: levels,
+		pos:    make([]int32, len(c.Gates)),
+		piIdx:  make([]int32, len(c.Nets)),
 		vals:   make([]logic.V5, len(c.Nets)),
 		good:   make([]logic.V5, len(c.Nets)),
 		piVal:  make([]int8, len(c.PIs)),
 		limit:  limit,
-		xreach: make([]bool, len(c.Nets)),
-		v5tab:  make(map[*library.Cell]*logic.V5Table),
+		mark:   make([]uint32, len(c.Nets)),
+		v5tab:  make([]*logic.V5Table, len(c.Gates)),
 	}
+	for i, g := range order {
+		p.pos[g.ID] = int32(i)
+	}
+	for i := range p.piIdx {
+		p.piIdx[i] = -1
+	}
+	for i, n := range c.PIs {
+		p.piIdx[n.ID] = int32(i)
+	}
+	byCell := make(map[*library.Cell]*logic.V5Table)
 	for _, g := range c.Gates {
-		if _, ok := p.v5tab[g.Type]; !ok {
-			p.v5tab[g.Type] = g.Type.TT.BuildV5Table()
+		t, ok := byCell[g.Type]
+		if !ok {
+			t = g.Type.TT.BuildV5Table()
+			byCell[g.Type] = t
 		}
+		p.v5tab[g.ID] = t
 	}
 	return p
 }
 
+// newEpoch starts a sweep over mark. On the (rare) wrap-around the stamps
+// are cleared so that no stale stamp can equal a reused epoch.
+func (p *podem) newEpoch() uint32 {
+	p.epoch++
+	if p.epoch == 0 {
+		clear(p.mark)
+		p.epoch = 1
+	}
+	return p.epoch
+}
+
+// buildCone computes the current search's cone from the configured
+// injection and conditions. The region is every net structurally reachable
+// from the site net; every net that can carry a fault effect lies in it. The
+// cone adds the transitive fanin of the region (which covers the host and
+// branch gate inputs, since those gates drive region nets), of every
+// condition net (extra conditions included) and of the bridge source. The
+// cone is closed under fanin, so implying its gates in order gives its nets
+// exactly the values a whole-circuit implication would, and every net the
+// search reads lies in it.
+func (p *podem) buildCone() {
+	p.region = p.region[:0]
+	if site := p.siteNet(); site != nil {
+		ep := p.newEpoch()
+		p.mark[site.ID] = ep
+		p.region = append(p.region, site)
+		for i := 0; i < len(p.region); i++ {
+			for _, pin := range p.region[i].Fanout {
+				if out := pin.Gate.Out; p.mark[out.ID] != ep {
+					p.mark[out.ID] = ep
+					p.region = append(p.region, out)
+				}
+			}
+		}
+	}
+
+	ep := p.newEpoch()
+	stack := p.queue[:0]
+	push := func(n *netlist.Net) {
+		if p.mark[n.ID] != ep {
+			p.mark[n.ID] = ep
+			stack = append(stack, n)
+		}
+	}
+	for _, n := range p.region {
+		push(n)
+	}
+	for _, c := range p.conds {
+		push(c.net)
+	}
+	if p.inj.bridgeSrc != nil {
+		push(p.inj.bridgeSrc)
+	}
+	gpos := p.gpos[:0]
+	p.conePIs = p.conePIs[:0]
+	p.conePOs = p.conePOs[:0]
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n.IsPO {
+			p.conePOs = append(p.conePOs, n)
+		}
+		if i := p.piIdx[n.ID]; i >= 0 {
+			p.conePIs = append(p.conePIs, int(i))
+		}
+		if g := n.Driver; g != nil {
+			gpos = append(gpos, p.pos[g.ID])
+			for _, in := range g.Fanin {
+				push(in)
+			}
+		}
+	}
+	slices.Sort(gpos)
+	slices.Sort(p.conePIs)
+	p.cone = p.cone[:0]
+	for _, i := range gpos {
+		p.cone = append(p.cone, p.order[i])
+	}
+	p.queue, p.gpos = stack, gpos
+}
+
 // evalGate evaluates a gate through the cached five-valued table.
 func (p *podem) evalGate(g *netlist.Gate, in []logic.V5) logic.V5 {
-	return p.v5tab[g.Type].Eval(in)
+	return p.v5tab[g.ID].Eval(in)
 }
 
 type decision struct {
@@ -123,6 +245,7 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 		p.piVal[i] = -1
 	}
 	p.backtracks = 0
+	p.buildCone()
 	var stack []decision
 
 	for {
@@ -178,15 +301,15 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 	}
 }
 
-// imply performs full five-valued forward implication from the current PI
-// assignment, maintaining both the pure-good ternary values (p.good) and
-// the faulty-circuit composite values (p.vals).
+// imply performs five-valued forward implication over the cone from the
+// current PI assignment, maintaining both the pure-good ternary values
+// (p.good) and the faulty-circuit composite values (p.vals).
 func (p *podem) imply() {
-	// Pass 1: exact ternary good values for every net. The faulty pass
-	// needs these complete (a bridge source may lie later in topological
-	// order than its victim).
+	// Pass 1: exact ternary good values for every cone net. The faulty
+	// pass needs these complete (a bridge source may lie later in
+	// topological order than its victim).
 	var gbuf, fbuf [8]logic.V5
-	for i, n := range p.c.PIs {
+	for _, i := range p.conePIs {
 		var v logic.V5
 		switch p.piVal[i] {
 		case 0:
@@ -196,9 +319,9 @@ func (p *podem) imply() {
 		default:
 			v = logic.X
 		}
-		p.good[n.ID] = v
+		p.good[p.c.PIs[i].ID] = v
 	}
-	for _, g := range p.order {
+	for _, g := range p.cone {
 		gin := gbuf[:len(g.Fanin)]
 		for i, in := range g.Fanin {
 			gin[i] = p.good[in.ID]
@@ -207,10 +330,11 @@ func (p *podem) imply() {
 	}
 
 	// Pass 2: faulty-composite values with the injection applied.
-	for _, n := range p.c.PIs {
+	for _, i := range p.conePIs {
+		n := p.c.PIs[i]
 		p.vals[n.ID] = p.injectStem(n, p.good[n.ID])
 	}
-	for _, g := range p.order {
+	for _, g := range p.cone {
 		gin := gbuf[:len(g.Fanin)]
 		fin := fbuf[:len(g.Fanin)]
 		for i, in := range g.Fanin {
@@ -263,13 +387,11 @@ func (p *podem) injectStem(n *netlist.Net, v logic.V5) logic.V5 {
 // hostEval computes the cell-aware host gate's faulty-composite output: the
 // cell output flips exactly when the good input assignment equals hostAsg.
 func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 {
-	match := true // true: assignment known and matches
 	for i, v := range gin {
 		gb, known := v.Good()
 		if !known {
 			// Could still match or not: if mismatch is already
 			// certain, output is fault-free; otherwise unknown.
-			match = false
 			if !p.canMatchHost(gin) {
 				return gv
 			}
@@ -278,10 +400,6 @@ func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 
 		if uint(gb) != p.inj.hostAsg>>uint(i)&1 {
 			return gv // definite mismatch: fault-free behavior
 		}
-		_ = i
-	}
-	if !match {
-		return logic.X
 	}
 	gb, known := gv.Good()
 	if !known {
@@ -329,7 +447,7 @@ func (p *podem) detected() bool {
 		}
 		return true
 	}
-	for _, po := range p.c.POs {
+	for _, po := range p.conePOs {
 		if p.vals[po.ID].IsError() {
 			return true
 		}
@@ -369,8 +487,8 @@ func (p *podem) objective() (*netlist.Net, uint8, bool) {
 	// D-frontier; if the error has not appeared and cannot appear,
 	// backtrack.
 	errSeen := false
-	var frontier []*netlist.Gate
-	for _, g := range p.order {
+	frontier := p.frontier[:0]
+	for _, g := range p.cone {
 		out := p.vals[g.Out.ID]
 		if out.IsError() {
 			errSeen = true
@@ -386,6 +504,7 @@ func (p *podem) objective() (*netlist.Net, uint8, bool) {
 			}
 		}
 	}
+	p.frontier = frontier
 	// Also: the error may sit directly on a PO-driving net already
 	// (detected() would have caught it). If no errored net exists at all
 	// and excitation conditions are met, the error site itself is X or
@@ -445,31 +564,36 @@ func (p *podem) sitePathExists(site *netlist.Net) bool {
 	if v != logic.X && !v.IsError() {
 		return false
 	}
-	reach := p.xreach
-	for i := range reach {
-		reach[i] = false
-	}
-	reach[site.ID] = true
-	queue := []*netlist.Net{site}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	ep := p.newEpoch()
+	p.mark[site.ID] = ep
+	return p.reachesPO(append(p.queue[:0], site), ep)
+}
+
+// reachesPO reports whether a breadth-first sweep from the queued nets
+// (already stamped with ep) reaches a primary output through nets whose
+// values are X or erroneous.
+func (p *podem) reachesPO(queue []*netlist.Net, ep uint32) bool {
+	found := false
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
 		if n.IsPO {
-			return true
+			found = true
+			break
 		}
 		for _, pin := range n.Fanout {
 			out := pin.Gate.Out
-			if reach[out.ID] {
+			if p.mark[out.ID] == ep {
 				continue
 			}
 			ov := p.vals[out.ID]
 			if ov == logic.X || ov.IsError() {
-				reach[out.ID] = true
+				p.mark[out.ID] = ep
 				queue = append(queue, out)
 			}
 		}
 	}
-	return false
+	p.queue = queue[:0]
+	return found
 }
 
 // siteObjective returns an objective that defines the fault site value when
@@ -497,36 +621,15 @@ func (p *podem) siteObjective() (*netlist.Net, uint8, bool) {
 // xPathExists checks whether any frontier gate output reaches a PO through
 // nets currently X (or carrying errors).
 func (p *podem) xPathExists(frontier []*netlist.Gate) bool {
-	reach := p.xreach
-	for i := range reach {
-		reach[i] = false
-	}
-	var queue []*netlist.Net
+	ep := p.newEpoch()
+	queue := p.queue[:0]
 	for _, g := range frontier {
-		if p.vals[g.Out.ID] == logic.X {
-			reach[g.Out.ID] = true
-			queue = append(queue, g.Out)
+		if out := g.Out; p.vals[out.ID] == logic.X && p.mark[out.ID] != ep {
+			p.mark[out.ID] = ep
+			queue = append(queue, out)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n.IsPO {
-			return true
-		}
-		for _, pin := range n.Fanout {
-			out := pin.Gate.Out
-			if reach[out.ID] {
-				continue
-			}
-			v := p.vals[out.ID]
-			if v == logic.X || v.IsError() {
-				reach[out.ID] = true
-				queue = append(queue, out)
-			}
-		}
-	}
-	return false
+	return p.reachesPO(queue, ep)
 }
 
 // propagationObjective picks an (input net, value) of frontier gate g that
@@ -580,15 +683,11 @@ func (p *podem) outputCanError(g *netlist.Gate, in []logic.V5) bool {
 func (p *podem) backtrace(n *netlist.Net, v uint8) (int, uint8, bool) {
 	for {
 		if n.IsPI {
-			for i, pi := range p.c.PIs {
-				if pi == n {
-					if p.piVal[i] != -1 {
-						return 0, 0, false
-					}
-					return i, v, true
-				}
+			i := p.piIdx[n.ID]
+			if i < 0 || p.piVal[i] != -1 {
+				return 0, 0, false
 			}
-			return 0, 0, false
+			return int(i), v, true
 		}
 		g := n.Driver
 		pin, val, ok := p.backtraceStep(g, v)
@@ -677,15 +776,11 @@ func goodCanBe(g *netlist.Gate, in []logic.V5, v uint8) bool {
 func (p *podem) valsBacktrace(n *netlist.Net) (int, bool) {
 	for hops := 0; hops < len(p.c.Nets)+1; hops++ {
 		if n.IsPI {
-			for i, pi := range p.c.PIs {
-				if pi == n {
-					if p.piVal[i] == -1 {
-						return i, true
-					}
-					return 0, false
-				}
+			i := p.piIdx[n.ID]
+			if i < 0 || p.piVal[i] != -1 {
+				return 0, false
 			}
-			return 0, false
+			return int(i), true
 		}
 		g := n.Driver
 		next := (*netlist.Net)(nil)
@@ -711,56 +806,46 @@ func (p *podem) valsBacktrace(n *netlist.Net) (int, bool) {
 // the search sharply.
 func (p *podem) firstFreePI() (int, uint8, bool) {
 	// Forward sweep: gates the effect can still traverse (output X or
-	// error, reachable from an errored net).
-	fwd := p.xreach
-	for i := range fwd {
-		fwd[i] = false
-	}
-	var q []*netlist.Net
-	seed := func(n *netlist.Net) {
-		if !fwd[n.ID] {
-			fwd[n.ID] = true
-			q = append(q, n)
+	// error, reachable from an errored net). Errors only arise in the
+	// site's fanout region.
+	ep := p.newEpoch()
+	fwd := p.queue[:0]
+	for _, n := range p.region {
+		if p.vals[n.ID].IsError() && p.mark[n.ID] != ep {
+			p.mark[n.ID] = ep
+			fwd = append(fwd, n)
 		}
 	}
-	for _, n := range p.c.Nets {
-		if p.vals[n.ID].IsError() {
-			seed(n)
-		}
-	}
-	for len(q) > 0 {
-		n := q[0]
-		q = q[1:]
-		for _, pin := range n.Fanout {
+	for i := 0; i < len(fwd); i++ {
+		for _, pin := range fwd[i].Fanout {
 			out := pin.Gate.Out
 			v := p.vals[out.ID]
-			if (v == logic.X || v.IsError()) && !fwd[out.ID] {
-				fwd[out.ID] = true
-				q = append(q, out)
+			if (v == logic.X || v.IsError()) && p.mark[out.ID] != ep {
+				p.mark[out.ID] = ep
+				fwd = append(fwd, out)
 			}
 		}
 	}
-	// Backward sweep: fanin support of every forward-reachable gate.
-	sup := make([]bool, len(p.c.Nets))
-	var back func(n *netlist.Net)
-	back = func(n *netlist.Net) {
-		if sup[n.ID] {
-			return
-		}
-		sup[n.ID] = true
-		if n.Driver != nil {
-			for _, in := range n.Driver.Fanin {
-				back(in)
+	// Backward sweep: fanin support of every forward-reachable net,
+	// appended behind the forward nets.
+	ep = p.newEpoch()
+	for _, n := range fwd {
+		p.mark[n.ID] = ep
+	}
+	sup := fwd
+	for i := 0; i < len(sup); i++ {
+		if g := sup[i].Driver; g != nil {
+			for _, in := range g.Fanin {
+				if p.mark[in.ID] != ep {
+					p.mark[in.ID] = ep
+					sup = append(sup, in)
+				}
 			}
 		}
 	}
-	for _, n := range p.c.Nets {
-		if fwd[n.ID] {
-			back(n)
-		}
-	}
-	for i, v := range p.piVal {
-		if v == -1 && sup[p.c.PIs[i].ID] {
+	p.queue = sup[:0]
+	for _, i := range p.conePIs {
+		if p.piVal[i] == -1 && p.mark[p.c.PIs[i].ID] == ep {
 			return i, 0, true
 		}
 	}

@@ -21,25 +21,45 @@ type Test struct {
 }
 
 // Engine simulates one circuit. It is not safe for concurrent use: the
-// scratch buffers for faulty-value propagation are reused across calls.
+// faulty-value overlay and the event queue are reused across calls.
+//
+// Detects is event-driven. Faulty values live in an overlay over the block's
+// good values: fv[n] holds net n's faulty word only while stamp[n] equals the
+// current epoch, so starting a new fault is one epoch increment rather than
+// a copy of every net word. A net whose faulty word differs from its good
+// word schedules its fanout gates on a min-queue of topological positions;
+// propagation ends when the queue drains, so a call costs the part of the
+// fault's fanout cone that the effect actually reaches.
 type Engine struct {
 	c     *netlist.Circuit
 	sim   *sim.Simulator
 	order []*netlist.Gate
+	pos   []int32 // gate ID -> position in order
 
-	fvals []logic.Word
-	dirty []bool
+	fv     []logic.Word // per net, faulty word when stamp[n] == epoch
+	stamp  []uint32     // per net
+	queued []uint32     // per gate position: == epoch once scheduled
+	epoch  uint32
+	queue  []int32        // scheduled gate positions, a binary min-heap
+	outs   []*netlist.Net // PO nets given a faulty word this call
 }
 
 // New builds an engine for the circuit.
 func New(c *netlist.Circuit) *Engine {
 	s := sim.New(c)
+	order := s.Order()
+	pos := make([]int32, len(c.Gates))
+	for i, g := range order {
+		pos[g.ID] = int32(i)
+	}
 	return &Engine{
-		c:     c,
-		sim:   s,
-		order: s.Order(),
-		fvals: make([]logic.Word, len(c.Nets)),
-		dirty: make([]bool, len(c.Nets)),
+		c:      c,
+		sim:    s,
+		order:  order,
+		pos:    pos,
+		fv:     make([]logic.Word, len(c.Nets)),
+		stamp:  make([]uint32, len(c.Nets)),
+		queued: make([]uint32, len(order)),
 	}
 }
 
@@ -90,20 +110,14 @@ func (e *Engine) SimBlock(tests []Test) *Block {
 
 // Detects returns the word of tests in the block that detect f.
 func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
-	fvals := e.fvals
-	copy(fvals, b.Vals)
-	dirty := e.dirty
-	for i := range dirty {
-		dirty[i] = false
-	}
+	e.begin()
 
 	// forced rewires gate-level evaluation for branch faults: when the
 	// faulty site is a branch, only that (gate, pin) sees the forced
 	// value; the stem keeps its good value.
-	var forcedGate *netlist.Gate
+	var forced *netlist.Gate
 	var forcedPin int
 	var forcedWord logic.Word
-	useForced := false
 
 	broadcast := func(v uint8) logic.Word {
 		if v&1 == 1 {
@@ -111,96 +125,155 @@ func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
 		}
 		return 0
 	}
-	goodInitOf := func(n *netlist.Net, v uint8) logic.Word {
-		// Word of patterns where the init-phase good value of n equals v.
-		if v&1 == 1 {
-			return b.InitVals[n.ID]
-		}
-		return ^b.InitVals[n.ID]
-	}
 
 	switch f.Model {
 	case fault.StuckAt:
 		if f.BranchGate == nil {
-			fvals[f.Net.ID] = broadcast(f.Value)
-			dirty[f.Net.ID] = true
+			e.set(f.Net, broadcast(f.Value), b)
 		} else {
-			forcedGate, forcedPin = f.BranchGate, f.BranchPin
+			forced, forcedPin = f.BranchGate, f.BranchPin
 			forcedWord = broadcast(f.Value)
-			useForced = true
 		}
 
 	case fault.Transition:
 		// Launch condition: the site held Value in the init phase and
 		// should move to ~Value; the slow site keeps Value.
-		cond := b.HasInit & goodInitOf(f.Net, f.Value)
+		init := b.InitVals[f.Net.ID]
+		if f.Value&1 == 0 {
+			init = ^init
+		}
+		cond := b.HasInit & init
+		w := (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
 		if f.BranchGate == nil {
-			fvals[f.Net.ID] = (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
-			if fvals[f.Net.ID] != b.Vals[f.Net.ID] {
-				dirty[f.Net.ID] = true
-			} else {
-				return 0
-			}
+			e.set(f.Net, w, b)
 		} else {
-			forcedGate, forcedPin = f.BranchGate, f.BranchPin
-			forcedWord = (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
-			useForced = true
+			forced, forcedPin = f.BranchGate, f.BranchPin
+			forcedWord = w
 		}
 
 	case fault.Bridge:
 		// Dominant model: the victim assumes the aggressor's good value.
-		if fvals[f.Net.ID] == b.Vals[f.Other.ID] {
-			return 0
-		}
-		fvals[f.Net.ID] = b.Vals[f.Other.ID]
-		dirty[f.Net.ID] = true
+		// The victim is never re-evaluated, so an aggressor inside the
+		// victim's own fanout cone keeps feeding its good value.
+		e.set(f.Net, b.Vals[f.Other.ID], b)
 
 	case fault.CellAware:
-		act := e.cellAwareActivation(f, b)
-		if act == 0 {
-			return 0
-		}
 		out := f.Gate.Out
-		fvals[out.ID] = b.Vals[out.ID] ^ act
-		dirty[out.ID] = true
+		e.set(out, b.Vals[out.ID]^e.cellAwareActivation(f, b), b)
+	}
+	if forced != nil {
+		e.schedule(forced)
 	}
 
-	// Forward propagation in topological order.
+	// Propagate in topological order until no scheduled gate is left. A
+	// gate is popped only after every gate before it in the order, so its
+	// fanin words are final when it is evaluated.
 	var buf [8]logic.Word
-	for _, g := range e.order {
-		anyDirty := false
-		for _, in := range g.Fanin {
-			if dirty[in.ID] {
-				anyDirty = true
-				break
-			}
-		}
-		if !anyDirty && !(useForced && g == forcedGate) {
-			continue
-		}
+	for len(e.queue) > 0 {
+		g := e.order[e.pop()]
 		in := buf[:len(g.Fanin)]
 		for i, fn := range g.Fanin {
-			in[i] = fvals[fn.ID]
+			in[i] = e.val(fn, b)
 		}
-		if useForced && g == forcedGate {
+		if g == forced {
 			in[forcedPin] = forcedWord
 		}
-		nv := g.Type.TT.EvalWord(in)
-		if nv != fvals[g.Out.ID] {
-			fvals[g.Out.ID] = nv
-			dirty[g.Out.ID] = true
-		}
+		e.set(g.Out, g.Type.TT.EvalWord(in), b)
 	}
 
+	// Only PO nets that received a faulty word can differ from the good
+	// circuit. A stem fault on a PO net is observed directly; a branch
+	// fault never changes the stem's own word.
 	var det logic.Word
-	for _, po := range e.c.POs {
-		det |= fvals[po.ID] ^ b.Vals[po.ID]
+	for _, po := range e.outs {
+		det |= e.fv[po.ID] ^ b.Vals[po.ID]
 	}
-	// A stem stuck-at on a PO net is directly observable even without
-	// downstream gates; the XOR above already covers it because fvals of
-	// the PO was forced. Branch faults on PO nets are not observable at
-	// the stem.
 	return det & b.Valid
+}
+
+// begin starts a fresh overlay: every stamp from an earlier call becomes
+// stale. On the (rare) epoch wrap-around the stamps are cleared so that no
+// stale stamp can equal a reused epoch.
+func (e *Engine) begin() {
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.stamp)
+		clear(e.queued)
+		e.epoch = 1
+	}
+	e.queue = e.queue[:0]
+	e.outs = e.outs[:0]
+}
+
+// val returns net n's faulty word: the overlay word if n changed in this
+// call, else its good word.
+func (e *Engine) val(n *netlist.Net, b *Block) logic.Word {
+	if e.stamp[n.ID] == e.epoch {
+		return e.fv[n.ID]
+	}
+	return b.Vals[n.ID]
+}
+
+// set records w as net n's faulty word and schedules n's fanout gates when
+// w differs from the good word. A word equal to the good word is dropped:
+// evaluating the fanout would reproduce the good values.
+func (e *Engine) set(n *netlist.Net, w logic.Word, b *Block) {
+	if w == b.Vals[n.ID] {
+		return
+	}
+	e.stamp[n.ID] = e.epoch
+	e.fv[n.ID] = w
+	if n.IsPO {
+		e.outs = append(e.outs, n)
+	}
+	for _, pin := range n.Fanout {
+		e.schedule(pin.Gate)
+	}
+}
+
+// schedule queues gate g once per call.
+func (e *Engine) schedule(g *netlist.Gate) {
+	p := e.pos[g.ID]
+	if e.queued[p] == e.epoch {
+		return
+	}
+	e.queued[p] = e.epoch
+	q := append(e.queue, p)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent] <= q[i] {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	e.queue = q
+}
+
+// pop removes and returns the smallest scheduled position.
+func (e *Engine) pop() int32 {
+	q := e.queue
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(q) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(q) && q[r] < q[l] {
+			m = r
+		}
+		if q[i] <= q[m] {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	e.queue = q
+	return top
 }
 
 // cellAwareActivation computes the word of tests whose gate-input
@@ -228,62 +301,4 @@ func (e *Engine) cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
 		}
 	}
 	return act
-}
-
-// RunAll fault-simulates the whole test sequence against every fault in l
-// that is not already Detected or Undetectable, marking newly detected
-// faults (fault dropping across blocks). It returns the number of faults
-// newly marked Detected.
-func (e *Engine) RunAll(l *fault.List, tests []Test) int {
-	newly := 0
-	for start := 0; start < len(tests); start += 64 {
-		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b := e.SimBlock(tests[start:end])
-		for _, f := range l.Faults {
-			if f.Status == fault.Detected || f.Status == fault.Undetectable {
-				continue
-			}
-			if e.Detects(f, b) != 0 {
-				f.Status = fault.Detected
-				newly++
-			}
-		}
-	}
-	return newly
-}
-
-// DetectedBy returns, for each test, how many currently-undetected faults
-// it is the first to detect, simulating in order with dropping. It is used
-// for reverse-order test-set compaction.
-func (e *Engine) DetectedBy(l *fault.List, tests []Test) []int {
-	per := make([]int, len(tests))
-	dropped := make(map[*fault.Fault]bool)
-	for start := 0; start < len(tests); start += 64 {
-		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b := e.SimBlock(tests[start:end])
-		for _, f := range l.Faults {
-			if f.Status == fault.Undetectable || dropped[f] {
-				continue
-			}
-			det := e.Detects(f, b)
-			if det == 0 {
-				continue
-			}
-			// Credit the first detecting test in the block.
-			for p := 0; p < b.N; p++ {
-				if det>>uint(p)&1 == 1 {
-					per[start+p]++
-					break
-				}
-			}
-			dropped[f] = true
-		}
-	}
-	return per
 }

@@ -2,10 +2,12 @@ package faultsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/library"
+	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
 	"dfmresyn/internal/switchsim"
 )
@@ -191,30 +193,35 @@ func TestCellAwareDynamicDetection(t *testing.T) {
 	}
 }
 
-func TestRunAllDropsFaults(t *testing.T) {
+// TestDetectsManyDropsFaults: a block's detection words mark exactly the
+// faults its tests detect, and a later block detects the ones left over —
+// the fault dropping atpg.Run performs over Pool.DetectsMany, at 1 and 2
+// workers.
+func TestDetectsManyDropsFaults(t *testing.T) {
 	c := buildChain(t)
-	e := New(c)
 	a := c.NetByName("a")
 	b := c.NetByName("b")
-	l := &fault.List{}
-	l.Add(&fault.Fault{Model: fault.StuckAt, Net: a, Value: 0})
-	l.Add(&fault.Fault{Model: fault.StuckAt, Net: a, Value: 1})
-	l.Add(&fault.Fault{Model: fault.StuckAt, Net: b, Value: 0})
-	undet := l.Add(&fault.Fault{Model: fault.StuckAt, Net: b, Value: 1})
-	tests := []Test{
-		{Vec: vec(1, 1)}, // detects both sa0
+	faults := []*fault.Fault{
+		{Model: fault.StuckAt, Net: a, Value: 0},
+		{Model: fault.StuckAt, Net: a, Value: 1},
+		{Model: fault.StuckAt, Net: b, Value: 0},
+		{Model: fault.StuckAt, Net: b, Value: 1},
 	}
-	n := e.RunAll(l, tests)
-	if n != 2 {
-		t.Errorf("RunAll marked %d, want 2", n)
-	}
-	if undet.Status != fault.Untried {
-		t.Errorf("b/sa1 must remain untried, got %v", undet.Status)
-	}
-	// Second run with the detecting pattern for sa1 faults.
-	n = e.RunAll(l, []Test{{Vec: vec(0, 0)}, {Vec: vec(0, 1)}, {Vec: vec(1, 0)}})
-	if n != 2 {
-		t.Errorf("second RunAll marked %d, want 2", n)
+	for _, workers := range []int{1, 2} {
+		p := NewPool(c, workers)
+		det := make([]logic.Word, len(faults))
+		p.DetectsMany(faults, p.SimBlock([]Test{{Vec: vec(1, 1)}}), det)
+		if want := []logic.Word{1, 0, 1, 0}; !slices.Equal(det, want) {
+			t.Errorf("workers=%d: (1,1) detection words = %v, want %v (both sa0 only)", workers, det, want)
+		}
+		// Drop the detected faults; the sa1 faults need a 0 on their own
+		// input with the other input at 1.
+		left := []*fault.Fault{faults[1], faults[3]}
+		det = det[:len(left)]
+		p.DetectsMany(left, p.SimBlock([]Test{{Vec: vec(0, 0)}, {Vec: vec(0, 1)}, {Vec: vec(1, 0)}}), det)
+		if want := []logic.Word{0b010, 0b100}; !slices.Equal(det, want) {
+			t.Errorf("workers=%d: second block words = %b, want %b", workers, det, want)
+		}
 	}
 }
 
@@ -298,9 +305,10 @@ func bruteStuckAt(c *netlist.Circuit, f *fault.Fault, pi []uint8) bool {
 	return false
 }
 
+// TestDetectedByCreditsFirstDetection: each fault credits only the first
+// test that detects it, at 1 and 2 workers.
 func TestDetectedByCreditsFirstDetection(t *testing.T) {
 	c := buildChain(t)
-	e := New(c)
 	a := c.NetByName("a")
 	l := &fault.List{}
 	l.Add(&fault.Fault{Model: fault.StuckAt, Net: a, Value: 0})
@@ -310,8 +318,10 @@ func TestDetectedByCreditsFirstDetection(t *testing.T) {
 		{Vec: vec(1, 1)}, // duplicate: no credit
 		{Vec: vec(0, 1)}, // detects sa1
 	}
-	per := e.DetectedBy(l, tests)
-	if per[0] != 1 || per[1] != 0 || per[2] != 1 {
-		t.Errorf("per-test credit = %v, want [1 0 1]", per)
+	for _, workers := range []int{1, 2} {
+		per := NewPool(c, workers).DetectedBy(l, tests)
+		if !slices.Equal(per, []int{1, 0, 1}) {
+			t.Errorf("workers=%d: per-test credit = %v, want [1 0 1]", workers, per)
+		}
 	}
 }

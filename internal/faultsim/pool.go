@@ -28,15 +28,15 @@ type Pool struct {
 	cBlocks  *obs.Counter
 	cDetects *obs.Counter
 
-	// ctx, when bound, cancels the pool's multi-block loops (RunAll,
-	// DetectedBy) cooperatively at block boundaries. nil never cancels.
+	// ctx, when bound, cancels DetectedBy's multi-block loop cooperatively
+	// at block boundaries. nil never cancels.
 	ctx context.Context
 }
 
-// Bind attaches a cancellation context to the pool. RunAll and DetectedBy
-// stop at the next 64-test block boundary once ctx is cancelled and return
-// their partial bookkeeping; callers that observe cancellation must treat
-// those results as a consistent prefix, not a completed pass.
+// Bind attaches a cancellation context to the pool. DetectedBy stops at the
+// next 64-test block boundary once ctx is cancelled and returns its partial
+// bookkeeping; callers that observe cancellation must treat that result as a
+// consistent prefix, not a completed pass.
 func (p *Pool) Bind(ctx context.Context) { p.ctx = ctx }
 
 // Instrument routes the pool's simulation-volume telemetry — good-circuit
@@ -83,46 +83,12 @@ func (p *Pool) DetectsMany(faults []*fault.Fault, b *Block, det []logic.Word) {
 	})
 }
 
-// RunAll is Engine.RunAll with the per-fault detection sharded over the
-// workers: it simulates the whole test sequence against every fault not
-// already Detected or Undetectable, marks newly detected faults, and returns
-// how many. Statuses are written sequentially in fault-list order between
-// blocks (deterministic drop accounting).
-func (p *Pool) RunAll(l *fault.List, tests []Test) int {
-	newly := 0
-	var active []*fault.Fault
-	for _, f := range l.Faults {
-		if f.Status != fault.Detected && f.Status != fault.Undetectable {
-			active = append(active, f)
-		}
-	}
-	det := make([]logic.Word, len(active))
-	for start := 0; start < len(tests) && len(active) > 0 && !resilience.Done(p.ctx); start += 64 {
-		end := start + 64
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b := p.SimBlock(tests[start:end])
-		p.DetectsMany(active, b, det[:len(active)])
-		next := active[:0]
-		for i, f := range active {
-			if det[i] != 0 {
-				f.Status = fault.Detected
-				newly++
-			} else {
-				next = append(next, f)
-			}
-		}
-		active = next
-	}
-	return newly
-}
-
-// DetectedBy is Engine.DetectedBy with the per-fault detection sharded over
-// the workers: for each test, how many currently-undetected faults it is the
-// first to detect, simulating in order with dropping. Credit assignment runs
-// sequentially in fault-list order, so the per-test counts — and therefore
-// reverse-order compaction — are independent of the worker count.
+// DetectedBy returns, for each test, how many faults not marked Undetectable
+// it is the first to detect, simulating the tests in order with fault
+// dropping; reverse-order test-set compaction keeps the tests it credits.
+// The per-fault detection is sharded over the workers and credit assignment
+// runs sequentially in fault-list order, so the per-test counts are
+// independent of the worker count.
 func (p *Pool) DetectedBy(l *fault.List, tests []Test) []int {
 	per := make([]int, len(tests))
 	var active []*fault.Fault

@@ -2,9 +2,11 @@ package faultsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfmresyn/internal/fault"
+	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
 )
 
@@ -64,36 +66,35 @@ func randomTests(n, npi int, seed int64) []Test {
 	return out
 }
 
-func statuses(l *fault.List) []fault.Status {
-	out := make([]fault.Status, len(l.Faults))
-	for i, f := range l.Faults {
-		out[i] = f.Status
-	}
-	return out
-}
-
-func TestPoolRunAllMatchesEngine(t *testing.T) {
+// TestPoolDetectsManyMatchesEngine: the sharded detection words equal one
+// engine's per-fault Detects and the whole-circuit reference, block after
+// block, at 1 and 2 workers.
+func TestPoolDetectsManyMatchesEngine(t *testing.T) {
 	c := poolCircuit()
 	tests := randomTests(200, len(c.PIs), 7)
-
-	ref := poolFaults(c)
-	refNew := New(c).RunAll(ref, tests)
-
-	for _, workers := range []int{1, 4, 9} {
-		l := poolFaults(c)
-		got := NewPool(c, workers).RunAll(l, tests)
-		if got != refNew {
-			t.Errorf("workers=%d: RunAll = %d, want %d", workers, got, refNew)
-		}
-		rs, gs := statuses(ref), statuses(l)
-		for i := range rs {
-			if rs[i] != gs[i] {
-				t.Fatalf("workers=%d: fault %d status %v, want %v", workers, i, gs[i], rs[i])
+	faults := poolFaults(c).Faults
+	eng := New(c)
+	for _, workers := range []int{1, 2} {
+		p := NewPool(c, workers)
+		det := make([]logic.Word, len(faults))
+		for start := 0; start < len(tests); start += 64 {
+			b := p.SimBlock(tests[start:min(start+64, len(tests))])
+			p.DetectsMany(faults, b, det)
+			for i, f := range faults {
+				if want := eng.Detects(f, b); det[i] != want {
+					t.Fatalf("workers=%d block %d: fault %d word %x, engine %x", workers, start/64, i, det[i], want)
+				}
+				if want := refDetects(eng, f, b); det[i] != want {
+					t.Fatalf("workers=%d block %d: fault %d word %x, reference %x", workers, start/64, i, det[i], want)
+				}
 			}
 		}
 	}
 }
 
+// TestPoolDetectedByMatchesEngine: Pool.DetectedBy's per-test credit equals
+// the credit loop over the whole-circuit reference, at 1 and 2 workers, with
+// pre-marked faults exercising the skip condition.
 func TestPoolDetectedByMatchesEngine(t *testing.T) {
 	c := poolCircuit()
 	tests := randomTests(150, len(c.PIs), 11)
@@ -102,20 +103,15 @@ func TestPoolDetectedByMatchesEngine(t *testing.T) {
 	// Pre-mark a few faults to exercise the skip conditions.
 	ref.Faults[0].Status = fault.Undetectable
 	ref.Faults[1].Status = fault.Detected
-	refPer := New(c).DetectedBy(ref, tests)
+	refPer := refDetectedBy(New(c), ref, tests)
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2} {
 		l := poolFaults(c)
 		l.Faults[0].Status = fault.Undetectable
 		l.Faults[1].Status = fault.Detected
 		per := NewPool(c, workers).DetectedBy(l, tests)
-		if len(per) != len(refPer) {
-			t.Fatalf("workers=%d: len %d, want %d", workers, len(per), len(refPer))
-		}
-		for i := range per {
-			if per[i] != refPer[i] {
-				t.Fatalf("workers=%d: per[%d] = %d, want %d", workers, i, per[i], refPer[i])
-			}
+		if !slices.Equal(per, refPer) {
+			t.Fatalf("workers=%d: per-test credit %v, want %v", workers, per, refPer)
 		}
 	}
 }
