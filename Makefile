@@ -67,17 +67,18 @@ bench:
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
-# Fast benchmark gate: every physical-path microbenchmark and the two ATPG
+# Fast benchmark gate: every physical-path microbenchmark and the three ATPG
 # hot-loop microbenchmarks (event-driven fault simulation of one block over
-# synth1k's faults, and synth1k's PODEM searches) compile and run one
+# synth1k's faults, synth1k's PODEM searches, and the static stage: synth1k's
+# implication closure plus the screen of its DFM faults) compile and run one
 # iteration under the race detector, and the 10k-gate tier builds and checks
 # cleanly — so `make check` catches a bit-rotted benchmark or scale circuit
 # without paying for a full -bench run.
 bench-smoke:
 	$(GO) test -race -run 'TestScaleCircuits' \
-		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate' \
+		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic' \
 		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
-		./internal/faultsim/ ./internal/atpg/
+		./internal/faultsim/ ./internal/atpg/ ./internal/implic/
 
 # End-to-end smoke test of the observability exports: run the CLI on the
 # fastest benchmark with tracing on, then validate both files with obscheck

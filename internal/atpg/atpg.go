@@ -118,7 +118,7 @@ type Result struct {
 	CacheHits    int
 	// StaticProven counts the faults the static implication screen
 	// classified Undetectable with zero PODEM searches (Config.Static
-	// screen or seed). They are included in Undetectable.
+	// screen). They are included in Undetectable.
 	StaticProven int
 	// SATEscalations counts the faults the CDCL tier resolved after their
 	// PODEM search exhausted the backtrack limit (Config.SATEscalate);

@@ -62,11 +62,67 @@ func circuitFromBytes(data []byte) *netlist.Circuit {
 	return c
 }
 
-// FuzzImplic checks three invariants on randomly grown circuits:
-// soundness (static-undetectable is a subset of complete-PODEM
-// undetectable), closure determinism (same circuit, same fingerprint),
-// and schedule independence (atpg.Run with the screen on produces
-// byte-identical statuses at 1 and 3 workers).
+// markConeRef marks root and its transitive fanout, breadth first: the
+// over-approximate set of nets whose faulty value may differ from the good
+// value. It is the reference the engine's precomputed fanout cones are
+// checked against.
+func markConeRef(root *netlist.Net, cone []bool) {
+	cone[root.ID] = true
+	queue := []*netlist.Net{root}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, pn := range n.Fanout {
+			out := pn.Gate.Out
+			if !cone[out.ID] {
+				cone[out.ID] = true
+				queue = append(queue, out)
+			}
+		}
+	}
+}
+
+// fuzzFaults lists the faults FuzzImplic screens: both stuck-at values on
+// every stem and on every gate input branch, and a bridge in each
+// direction between random distinct net pairs drawn from seed.
+func fuzzFaults(c *netlist.Circuit, seed int64) *fault.List {
+	list := &fault.List{}
+	for _, n := range c.Nets {
+		for v := uint8(0); v <= 1; v++ {
+			list.Add(&fault.Fault{Model: fault.StuckAt, Net: n, Value: v})
+		}
+	}
+	for _, g := range c.Gates {
+		for pin, in := range g.Fanin {
+			for v := uint8(0); v <= 1; v++ {
+				list.Add(&fault.Fault{Model: fault.StuckAt, Net: in, BranchGate: g, BranchPin: pin, Value: v})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < len(c.Nets); i++ {
+		a, b := c.Nets[rng.Intn(len(c.Nets))], c.Nets[rng.Intn(len(c.Nets))]
+		if a == b {
+			continue
+		}
+		list.Add(&fault.Fault{Model: fault.Bridge, Net: a, Other: b})
+		list.Add(&fault.Fault{Model: fault.Bridge, Net: b, Other: a})
+	}
+	return list
+}
+
+// FuzzImplic checks five invariants on randomly grown circuits:
+//   - every net's precomputed fanout cone equals the breadth-first walk
+//     of markConeRef;
+//   - closure determinism: the same circuit gives the same fingerprint;
+//   - soundness: every stem or branch stuck-at fault and every bridge
+//     the screen proves undetectable is proven impossible by a complete
+//     PODEM search;
+//   - query independence: screening the fault list forward and in
+//     reverse gives the same verdicts, so no query's pooled scratch
+//     leaks into the next;
+//   - schedule independence: atpg.Run with the screen on produces
+//     byte-identical statuses at 1 and 3 workers.
 func FuzzImplic(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 0, 4, 1, 2, 5, 2, 3})
 	f.Add([]byte{3, 11, 0, 1, 2, 3, 6, 4, 5, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -82,28 +138,46 @@ func FuzzImplic(f *testing.F) {
 		if e == nil {
 			t.Fatal("New returned nil for a small circuit")
 		}
+		for _, root := range c.Nets {
+			ref := make([]bool, len(c.Nets))
+			markConeRef(root, ref)
+			for _, n := range c.Nets {
+				if got := e.InFanoutCone(root.ID, n.ID); got != ref[n.ID] {
+					t.Fatalf("fanout cone of %s: %s in cone = %v, reference walk says %v",
+						root.Name, n.Name, got, ref[n.ID])
+				}
+			}
+		}
 		if e2 := implic.New(circuitFromBytes(data)); e2.Fingerprint() != e.Fingerprint() {
 			t.Fatalf("closure not deterministic: %x vs %x", e.Fingerprint(), e2.Fingerprint())
 		}
 
-		// Soundness: every screened stuck-at fault must be proven
-		// impossible by an unseeded complete search.
-		order := c.Levelize()
-		levels := c.Levels()
-		list := &fault.List{}
-		for _, n := range c.Nets {
-			for v := uint8(0); v <= 1; v++ {
-				list.Add(&fault.Fault{Model: fault.StuckAt, Net: n, Value: v})
+		seed := int64(len(data))
+		for _, b := range data {
+			seed = seed*131 + int64(b)
+		}
+		list := fuzzFaults(c, seed)
+		verdicts := make([]bool, len(list.Faults))
+		for i, fa := range list.Faults {
+			verdicts[i] = e.Undetectable(fa)
+		}
+		for i := len(list.Faults) - 1; i >= 0; i-- {
+			if got := e.Undetectable(list.Faults[i]); got != verdicts[i] {
+				t.Fatalf("%v: verdict %v screening forward, %v in reverse", list.Faults[i], verdicts[i], got)
 			}
 		}
-		for _, fa := range list.Faults {
-			if !e.Undetectable(fa) {
+
+		// Soundness: every screened fault must be proven impossible by
+		// an unseeded complete search.
+		order := c.Levelize()
+		levels := c.Levels()
+		for i, fa := range list.Faults {
+			if !verdicts[i] {
 				continue
 			}
 			out, _ := atpg.GenerateOne(c, order, levels, fa, 200000, rand.New(rand.NewSource(11)))
 			if out == atpg.FoundTest {
-				t.Fatalf("UNSOUND: screen proved sa%d@%s but PODEM found a test",
-					fa.Value, fa.Net.Name)
+				t.Fatalf("UNSOUND: screen proved %v but PODEM found a test", fa)
 			}
 		}
 
@@ -111,7 +185,8 @@ func FuzzImplic(f *testing.F) {
 		status := func(workers int) []fault.Status {
 			l := &fault.List{}
 			for _, fa := range list.Faults {
-				l.Add(&fault.Fault{Model: fault.StuckAt, Net: fa.Net, Value: fa.Value})
+				cp := *fa
+				l.Add(&cp)
 			}
 			atpg.Run(c, l, atpg.Config{
 				Seed: 42, Workers: workers, Static: implic.ModeScreen,

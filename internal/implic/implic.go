@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"dfmresyn/internal/netlist"
 )
@@ -77,9 +78,11 @@ func (l Lit) Val() uint8 { return uint8(l & 1) }
 func (l Lit) Neg() Lit { return l ^ 1 }
 
 // MaxLiterals bounds the closure size: above it New refuses to build the
-// engine (the transitive closure stores one bitset per literal, so memory
-// is quadratic in the literal count). 16384 literals cost at most 32 MiB,
-// far above every bundled benchmark (aes_core has ~1.5k nets).
+// engine (the transitive closure stores one bitset per literal and the
+// screen one fanout-cone bitset per net, so memory is quadratic in the
+// literal count). 16384 literals cost at most 32 MiB of closure plus 8 MiB
+// of fanout cones, far above every bundled benchmark (aes_core has ~1.5k
+// literals).
 const MaxLiterals = 16384
 
 // Stats summarizes what the build learned.
@@ -102,6 +105,18 @@ type Engine struct {
 	// never consulted (constVal wins).
 	closure [][]uint64
 	words   int // words per closure bitset
+
+	// fanout holds every net's transitive fanout cone — the net itself
+	// plus every net a difference at it can reach — as a bitset over
+	// nets: coneWords words per net, net n's row first at n*coneWords.
+	fanout    []uint64
+	coneWords int
+	// scratch pools the screen's per-query working memory (*scratch), so
+	// concurrent callers never share it and no query allocates it. It is
+	// a separate allocation: the runtime's registry of pools keeps a used
+	// pool reachable until two garbage collections later, and a pool
+	// embedded here would keep the whole engine alive with it.
+	scratch *sync.Pool
 
 	stats Stats
 }
@@ -126,6 +141,8 @@ func New(c *netlist.Circuit) *Engine {
 		e.constVal[i] = -1
 	}
 	e.build()
+	e.buildFanout()
+	e.scratch = &sync.Pool{New: func() any { return &scratch{stamp: make([]uint32, nNets)} }}
 	return e
 }
 
@@ -235,6 +252,40 @@ func (e *Engine) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
+// buildFanout computes every net's fanout cone. A gate output's cone is the
+// net plus the union of its readers' output cones, so visiting gates in
+// reverse topological order finds each reader's cone complete; undriven
+// nets (the primary inputs) read only gate outputs and come last.
+func (e *Engine) buildFanout() {
+	e.coneWords = (len(e.c.Nets) + 63) / 64
+	e.fanout = make([]uint64, len(e.c.Nets)*e.coneWords)
+	add := func(n *netlist.Net) {
+		row := e.cone(n.ID)
+		row[n.ID>>6] |= 1 << (uint(n.ID) & 63)
+		for _, pin := range n.Fanout {
+			for w, b := range e.cone(pin.Gate.Out.ID) {
+				row[w] |= b
+			}
+		}
+	}
+	for i := len(e.order) - 1; i >= 0; i-- {
+		add(e.order[i].Out)
+	}
+	for _, n := range e.c.Nets {
+		if n.Driver == nil {
+			add(n)
+		}
+	}
+}
+
+// cone returns net's fanout-cone bitset (see Engine.fanout).
+func (e *Engine) cone(net int) []uint64 {
+	return e.fanout[net*e.coneWords : (net+1)*e.coneWords]
+}
+
+// inCone reports whether net is a member of the cone bitset.
+func inCone(cone []uint64, net int) bool { return cone[net>>6]>>(uint(net)&63)&1 == 1 }
+
 // build runs the whole pipeline to fixpoint: every round of closure
 // construction may prove new constants, which strengthen the next
 // round's propagation. Each extra round adds at least one constant, so
@@ -280,8 +331,7 @@ func (e *Engine) closeOnce(p *prop) bool {
 		}
 		forced, ok := p.consequences(l)
 		if !ok {
-			e.setConst(l.Net(), l.Val()^1)
-			p.rebase()
+			p.addConst(l.Net(), l.Val()^1)
 			newConst = true
 			continue
 		}

@@ -2,9 +2,11 @@ package implic_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dfmresyn/internal/atpg"
+	"dfmresyn/internal/bench"
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/implic"
 	"dfmresyn/internal/library"
@@ -277,4 +279,43 @@ func TestScreenAgreesOnMux(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUndetectableConcurrent screens one fault list against one engine
+// from several goroutines at once, each walking the list in its own order.
+// Every verdict must equal the sequential one: concurrent queries never
+// share pooled scratch. Run it under -race.
+func TestUndetectableConcurrent(t *testing.T) {
+	c := bench.MustBuild("sparc_tlu", lib)
+	e := implic.New(c)
+	list := fuzzFaults(c, 1)
+	n := len(list.Faults)
+	want := make([]bool, n)
+	proven := 0
+	for i, f := range list.Faults {
+		if want[i] = e.Undetectable(f); want[i] {
+			proven++
+		}
+	}
+	if proven == 0 {
+		t.Fatal("the screen proved nothing; the test would not notice wrong verdicts")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				i := (k + w*n/4) % n
+				if w%2 == 1 {
+					i = n - 1 - i
+				}
+				if got := e.Undetectable(list.Faults[i]); got != want[i] {
+					t.Errorf("goroutine %d: %v screened %v, sequentially %v", w, list.Faults[i], got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -33,9 +33,9 @@ func newProp(e *Engine) *prop {
 	}
 }
 
-// rebase recomputes the constants-only fixpoint. Every net it settles is
-// itself a constant (it follows from constants alone), so the fixpoint
-// is folded straight back into the engine's constant table.
+// rebase recomputes the constants-only fixpoint from scratch. Every net
+// it settles is itself a constant, so the fixpoint is folded straight
+// back into the engine's constant table.
 func (p *prop) rebase() {
 	for i := range p.val {
 		p.val[i] = -1
@@ -53,6 +53,33 @@ func (p *prop) rebase() {
 		}
 	}
 	p.drain()
+	p.fold()
+	copy(p.base, p.val)
+}
+
+// addConst records a newly proven constant and extends the base with it:
+// the constant is assigned on top of the current base fixpoint and only
+// its neighbours are drained, instead of re-seeding every gate as rebase
+// does. The propagator is monotone (more known values only narrow a
+// gate's completions), so the result is the fixpoint rebase would compute
+// from the enlarged constant set.
+func (p *prop) addConst(net int, val uint8) {
+	p.e.setConst(net, val)
+	copy(p.val, p.base)
+	p.touched = p.touched[:0]
+	p.conflict = false
+	p.assign(net, int8(val))
+	p.drain()
+	p.fold()
+	for _, t := range p.touched {
+		p.base[t] = p.val[t]
+	}
+}
+
+// fold copies every net the last constants-only run settled into the
+// engine's constant table: a value that follows from constants alone is
+// itself a constant.
+func (p *prop) fold() {
 	if p.conflict {
 		panic("implic: constant set is self-contradictory")
 	}
@@ -61,7 +88,6 @@ func (p *prop) rebase() {
 			p.e.constVal[t] = p.val[t]
 		}
 	}
-	copy(p.base, p.val)
 }
 
 // consequences assumes literal l on top of the constant base and returns

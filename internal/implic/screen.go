@@ -177,60 +177,69 @@ func (s eset) has(l Lit) bool {
 // net origin could reach a primary output under excitation
 // consequences E.
 func (e *Engine) reachPO(origin *netlist.Net, E eset) bool {
-	cone := make([]bool, len(e.c.Nets))
-	e.markCone(origin, cone)
 	if origin.IsPO {
 		return true
 	}
-	return e.bfs([]*netlist.Net{origin}, cone, E)
+	return e.bfs(origin, e.cone(origin.ID), E)
 }
 
 // reachPOFromGate is the branch-fault variant: the difference enters
 // the circuit only through pin `pin` of gate g.
 func (e *Engine) reachPOFromGate(g *netlist.Gate, pin int, E eset) bool {
-	cone := make([]bool, len(e.c.Nets))
-	e.markCone(g.Out, cone)
+	cone := e.cone(g.Out.ID)
 	if !e.edgePasses(g, pin, cone, E) {
 		return false
 	}
 	if g.Out.IsPO {
 		return true
 	}
-	return e.bfs([]*netlist.Net{g.Out}, cone, E)
+	return e.bfs(g.Out, cone, E)
 }
 
-// markCone marks root and its transitive fanout: the over-approximate
-// set of nets whose faulty value may differ from the good value.
-func (e *Engine) markCone(root *netlist.Net, cone []bool) {
-	cone[root.ID] = true
-	queue := []*netlist.Net{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, pn := range n.Fanout {
-			out := pn.Gate.Out
-			if !cone[out.ID] {
-				cone[out.ID] = true
-				queue = append(queue, out)
-			}
-		}
-	}
+// scratch is one query's working memory: the BFS queue and the reached
+// marks. A net is reached when its stamp equals the current epoch, so a
+// new query forgets every mark by bumping the epoch instead of clearing.
+type scratch struct {
+	stamp []uint32
+	epoch uint32
+	queue []int32
 }
 
-// bfs walks the effect cone gate by gate, crossing an edge only when
-// edgePasses cannot rule the crossing out, and reports whether any
-// primary output is reachable.
-func (e *Engine) bfs(queue []*netlist.Net, cone []bool, E eset) bool {
-	reached := make([]bool, len(e.c.Nets))
-	for _, n := range queue {
-		reached[n.ID] = true
+// begin starts a query with no net reached. When the epoch counter wraps,
+// the stamps are cleared, so a stamp left from 2^32 queries ago cannot
+// equal the reused epoch.
+func (s *scratch) begin() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, pn := range n.Fanout {
+	s.queue = s.queue[:0]
+}
+
+// reached reports whether the current query has visited net.
+func (s *scratch) reached(net int) bool { return s.stamp[net] == s.epoch }
+
+// visit marks net reached and queues it.
+func (s *scratch) visit(net int) {
+	s.stamp[net] = s.epoch
+	s.queue = append(s.queue, int32(net))
+}
+
+// bfs walks the effect cone from start gate by gate, crossing an edge
+// only when edgePasses cannot rule the crossing out, and reports whether
+// any primary output is reachable. cone is the fanout cone of the
+// fault's origin: the nets whose faulty value may differ from the good
+// value.
+func (e *Engine) bfs(start *netlist.Net, cone []uint64, E eset) bool {
+	s := e.scratch.Get().(*scratch)
+	defer e.scratch.Put(s)
+	s.begin()
+	s.visit(start.ID)
+	for head := 0; head < len(s.queue); head++ {
+		for _, pn := range e.c.Nets[s.queue[head]].Fanout {
 			out := pn.Gate.Out
-			if reached[out.ID] {
+			if s.reached(out.ID) {
 				continue
 			}
 			if !e.edgePasses(pn.Gate, pn.Pin, cone, E) {
@@ -239,8 +248,7 @@ func (e *Engine) bfs(queue []*netlist.Net, cone []bool, E eset) bool {
 			if out.IsPO {
 				return true
 			}
-			reached[out.ID] = true
-			queue = append(queue, out)
+			s.visit(out.ID)
 		}
 	}
 	return false
@@ -253,9 +261,9 @@ func (e *Engine) bfs(queue []*netlist.Net, cone []bool, E eset) bool {
 // excitation consequences E, and the crossing is blocked when no
 // consistent side assignment sensitizes the pin, or when a side value
 // required by every sensitizing assignment is refuted by E.
-func (e *Engine) edgePasses(g *netlist.Gate, pin int, cone []bool, E eset) bool {
+func (e *Engine) edgePasses(g *netlist.Gate, pin int, cone []uint64, E eset) bool {
 	for j, in := range g.Fanin {
-		if j != pin && cone[in.ID] {
+		if j != pin && inCone(cone, in.ID) {
 			// Another fanin may carry the difference too; multi-path
 			// effects (including reconvergence) are never pruned.
 			return true
