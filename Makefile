@@ -112,6 +112,8 @@ chaos-smoke:
 # must produce ledgers obsdiff calls equivalent (exit 0, matching digests);
 # then a verdict flipped in place with sed must be caught (exit 1, not 0 and
 # not a crash) — i.e. the differ is wired tightly enough to gate a CI run.
+# The first iteration record is then edited twice: a changed tier-map count
+# is a migration (exit 0, reported), a changed U is a flip (exit 1).
 obsdiff-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/dfmresyn -table2 -circuit wb_conmax -q 0 \
@@ -123,7 +125,17 @@ obsdiff-smoke:
 		"$$dir/b.jsonl" >"$$dir/flipped.jsonl" && \
 	{ $(GO) run ./cmd/obsdiff "$$dir/a.jsonl" "$$dir/flipped.jsonl" 2>/dev/null; \
 		rc=$$?; [ $$rc -eq 1 ] || { echo "obsdiff-smoke: injected flip exited $$rc, want 1"; exit 1; }; } && \
-	echo "obsdiff-smoke: self-diff clean, injected flip caught"
+	sed '0,/"t":"iter"/{/"t":"iter"/s/"tiers":{"\([a-z_]*\)":/"tiers":{"\1":1/}' \
+		"$$dir/b.jsonl" >"$$dir/tiers.jsonl" && \
+	{ $(GO) run ./cmd/obsdiff "$$dir/a.jsonl" "$$dir/tiers.jsonl" >"$$dir/tiers.out" 2>/dev/null; \
+		rc=$$?; [ $$rc -eq 0 ] || { echo "obsdiff-smoke: tier-map edit exited $$rc, want 0"; exit 1; }; } && \
+	{ grep -q '0 verdict flips, 1 tier migrations' "$$dir/tiers.out" || \
+		{ echo "obsdiff-smoke: tier-map edit not reported as one migration"; cat "$$dir/tiers.out"; exit 1; }; } && \
+	sed '0,/"t":"iter"/{/"t":"iter"/s/"u":/"u":1/}' \
+		"$$dir/b.jsonl" >"$$dir/u.jsonl" && \
+	{ $(GO) run ./cmd/obsdiff "$$dir/a.jsonl" "$$dir/u.jsonl" >/dev/null 2>&1; \
+		rc=$$?; [ $$rc -eq 1 ] || { echo "obsdiff-smoke: iteration U edit exited $$rc, want 1"; exit 1; }; } && \
+	echo "obsdiff-smoke: self-diff clean, injected flip caught, tier-map edit a migration, U edit a flip"
 
 # SAT escalation smoke: the CDCL core's brute-force and pigeonhole
 # cross-checks, the escalation tier's differential harness (SAT verdicts ==

@@ -381,6 +381,9 @@ func BenchmarkSTA(b *testing.B) {
 // an undetectable fault and an adjacent detectable one. The headline
 // comparison is test-set growth: the double-fault approach inflates T while
 // leaving U untouched, whereas resynthesis removes U with T nearly flat.
+// The pair counts show how many double-fault searches found a test, proved
+// none exists, or ran out of backtracks (the baseline runs raw PODEM at the
+// flow's budget, with no SAT tier behind it).
 func BenchmarkDoubleFaultBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := newEnv()
@@ -398,6 +401,8 @@ func BenchmarkDoubleFaultBaseline(b *testing.B) {
 			}
 			fmt.Printf("%-11s double-fault: +%d tests (tester time %.2fx), U stays %d\n",
 				name, df.ExtraTests, df.TesterTimeRel, orig.Faults.Count().Undetectable)
+			fmt.Printf("%-11s pairs:        %d covered, %d uncovered, %d aborted\n",
+				"", df.CoveredPairs, df.UncoveredPairs, df.AbortedPairs)
 			fmt.Printf("%-11s resynthesis:  T %d -> %d, U %d -> %d\n",
 				"", len(orig.Result.Tests), len(r.Final.Result.Tests),
 				orig.Faults.Count().Undetectable, r.Final.Faults.Count().Undetectable)

@@ -64,7 +64,6 @@ var (
 	workers    = flag.Int("workers", 0, "fault-classification worker pool size (0 = NumCPU); any value gives identical tables")
 	lintMode   = flag.String("lint", "off", "static-analysis enforcement: off, warn, or strict (strict exits 2 on findings)")
 	staticPf   = flag.String("staticproof", "screen", "static implication screen: off or screen (prove undetectable faults with zero searches; tables byte-identical to off)")
-	satEsc     = flag.String("satescalate", "on", "CDCL SAT escalation for searches that exhaust the backtrack limit: on (aborted faults are re-solved to a definitive verdict, Abt column reads 0) or off (hard faults stay Aborted)")
 	dieSpec    = flag.String("die", "", "place into a fixed WxH die instead of the auto floorplan (e.g. 64x64); a circuit that does not fit exits 3")
 	fromVlog   = flag.String("fromverilog", "", "analyze a structural Verilog netlist file (as written by the flow's own writer) instead of a built-in circuit")
 	journal    = flag.String("journal", "", "checkpoint the sweep to this journal after every accepted iteration (resume with -resume)")
@@ -174,15 +173,6 @@ func run() (err error) {
 	if err != nil {
 		return fmt.Errorf("bad -staticproof mode %q (off, screen)", *staticPf)
 	}
-	var satOn bool
-	switch *satEsc {
-	case "on":
-		satOn = true
-	case "off":
-		satOn = false
-	default:
-		return fmt.Errorf("bad -satescalate mode %q (off, on)", *satEsc)
-	}
 	var die geom.Rect
 	if *dieSpec != "" {
 		if die, err = parseDie(*dieSpec); err != nil {
@@ -270,7 +260,6 @@ func run() (err error) {
 	env.StageTimeout = *deadline
 	env.Lint = lmode
 	env.StaticProof = smode
-	env.SATEscalate = satOn
 	env.Ledger = ledger
 	if *chaosRate > 0 {
 		env.ATPG.InjectPanic = chaos.Panics(*seed, *chaosRate)
@@ -365,15 +354,11 @@ func run() (err error) {
 			if smode != implic.ModeOff {
 				staticProven = orig.Result.StaticProven + r.StaticProven
 			}
-			satEscalations, satConflicts := -1, int64(0) // render "sat off"
-			if satOn {
-				satEscalations = orig.Result.SATEscalations + r.SATEscalations
-				satConflicts = orig.Result.SATConflicts + r.SATConflicts
-			}
 			fmt.Println(report.PerfRow(name, par.Count(*workers),
 				r.ATPGTime.Seconds(), r.Cache.HitRate(),
 				int(r.Cache.Lookups), r.Cache.Entries, staticProven,
-				r.Final.Metrics().Aborted, satEscalations, satConflicts))
+				r.Final.Metrics().Aborted, orig.Result.SATEscalations+r.SATEscalations,
+				orig.Result.SATConflicts+r.SATConflicts))
 			// Provenance breakdown: the baseline analysis (cacheless) and
 			// the cache-bypassed signoff — both pure functions of (circuit,
 			// configuration), so these rows are stable across -workers,

@@ -5,8 +5,9 @@
 //   - verdict flips — a fault whose final status changed, a fault present in
 //     one run but not the other, or a structural mismatch (different stage
 //     sequence or iteration trace),
-//   - tier migrations — same verdict, decided by a different engine tier
-//     (informational: the answer held, the path to it moved),
+//   - tier migrations — same verdict, decided by a different engine tier,
+//     or an iteration record whose tier map alone moved (informational: the
+//     answer held, the path to it moved),
 //   - timing regressions — a search that got slower than -regress times its
 //     old cost (off by default, because wall time is the one
 //     non-deterministic field in a ledger).
@@ -238,7 +239,9 @@ func diffStages(d *differ, old, new *ledgerFile, regress float64, minUs int64) {
 
 // diffIters compares the resynthesis iteration traces record by record. A
 // diverged trace means the sweeps committed different resyntheses — a flip,
-// even when every per-fault verdict that was recorded happens to agree.
+// even when every per-fault verdict that was recorded happens to agree. A
+// record that differs only in its tier map committed the same resynthesis
+// with verdicts decided by other tiers: a migration.
 func diffIters(d *differ, old, new *ledgerFile) {
 	n := len(old.iters)
 	if len(new.iters) != n {
@@ -248,13 +251,28 @@ func diffIters(d *differ, old, new *ledgerFile) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		oc, err1 := obs.CanonicalLedger([]obs.LedgerRecord{old.iters[i]})
-		nc, err2 := obs.CanonicalLedger([]obs.LedgerRecord{new.iters[i]})
-		if err1 != nil || err2 != nil || string(oc) != string(nc) {
-			d.report("flips", &d.flips, "iteration %d differs: %s -> %s",
-				i+1, trim(oc), trim(nc))
+		oc, nc, same := canonicalPair(old.iters[i], new.iters[i])
+		if same {
+			continue
 		}
+		ot, nt := old.iters[i], new.iters[i]
+		ot.Tiers, nt.Tiers = obs.TierCounts{}, obs.TierCounts{}
+		if _, _, sameBut := canonicalPair(ot, nt); sameBut {
+			d.report("migrations", &d.migrations, "iteration %d migrated tiers: %s -> %s",
+				i+1, trim(oc), trim(nc))
+			continue
+		}
+		d.report("flips", &d.flips, "iteration %d differs: %s -> %s",
+			i+1, trim(oc), trim(nc))
 	}
+}
+
+// canonicalPair renders two records canonically and reports whether they
+// are equal; a record that fails to encode never equals anything.
+func canonicalPair(a, b obs.LedgerRecord) ([]byte, []byte, bool) {
+	ac, err1 := obs.CanonicalLedger([]obs.LedgerRecord{a})
+	bc, err2 := obs.CanonicalLedger([]obs.LedgerRecord{b})
+	return ac, bc, err1 == nil && err2 == nil && string(ac) == string(bc)
 }
 
 func trim(b []byte) string {

@@ -166,6 +166,42 @@ func TestIterationDivergenceExitsOne(t *testing.T) {
 	if out, _, code := diff(t, a, b); code != 1 {
 		t.Fatalf("diverged iteration trace exited %d, want 1\n%s", code, out)
 	}
+	// A field change is a flip even when the tier map moved with it.
+	both := baseline()
+	both[3] = func(l *obs.Ledger) {
+		l.Iter(obs.LedgerRecord{Q: 5, Phase: 2, Iter: 1, U: 3, Smax: 3, F: 10,
+			Tiers: obs.TierCounts{Podem: 1}})
+	}
+	c := writeLedger(t, "c.jsonl", both...)
+	out, _, code := diff(t, a, c)
+	if code != 1 {
+		t.Fatalf("iteration with a new phase and tier map exited %d, want 1\n%s", code, out)
+	}
+	if !strings.Contains(out, "1 verdict flips, 0 tier migrations") {
+		t.Errorf("phase change not counted as a flip:\n%s", out)
+	}
+}
+
+func TestIterationTierMapIsMigration(t *testing.T) {
+	tiers := func(tc obs.TierCounts) []emit {
+		ev := baseline()
+		ev[3] = func(l *obs.Ledger) {
+			l.Iter(obs.LedgerRecord{Q: 5, Phase: 1, Iter: 1, U: 3, Smax: 3, F: 10, Tiers: tc})
+		}
+		return ev
+	}
+	a := writeLedger(t, "a.jsonl", tiers(obs.TierCounts{Podem: 17})...)
+	b := writeLedger(t, "b.jsonl", tiers(obs.TierCounts{Podem: 15, SAT: 1, SATMemo: 1})...)
+	out, _, code := diff(t, a, b)
+	if code != 0 {
+		t.Fatalf("tier-map-only iteration difference exited %d, want 0\n%s", code, out)
+	}
+	if !strings.Contains(out, "iteration 1 migrated tiers") {
+		t.Errorf("migration not described:\n%s", out)
+	}
+	if !strings.Contains(out, "0 verdict flips, 1 tier migrations") {
+		t.Errorf("migration not counted:\n%s", out)
+	}
 }
 
 func TestStageMismatchExitsOne(t *testing.T) {

@@ -63,17 +63,16 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSATEscalationDeterminism: with the CDCL escalation tier engaged (a
-// reduced backtrack limit forces real escalations on sparc_exu), any worker
-// count must still render byte-identical Table II rows, identical test
-// vectors, identical statuses — and the escalation tier itself must report
-// identical work. The Abt column must read zero: escalation leaves no
-// aborted faults.
+// TestSATEscalationDeterminism: with the CDCL escalation tier engaged (the
+// default backtrack budget sends real escalations to it on sparc_exu), any
+// worker count must still render byte-identical Table II rows, identical
+// test vectors, identical statuses — and the escalation tier itself must
+// report identical work. The Abt column must read zero: escalation leaves
+// no aborted faults.
 func TestSATEscalationDeterminism(t *testing.T) {
 	analyze := func(workers int) *flow.Design {
-		env := flow.NewEnv() // SATEscalate defaults on
+		env := flow.NewEnv()
 		env.Workers = workers
-		env.ATPG.BacktrackLimit = 1000 // starve PODEM into escalating
 		c := bench.MustBuild("sparc_exu", env.Lib)
 		d, err := env.Analyze(c, geom.Rect{})
 		if err != nil {
@@ -83,7 +82,7 @@ func TestSATEscalationDeterminism(t *testing.T) {
 	}
 	ref := analyze(1)
 	if ref.Result.SATEscalations == 0 {
-		t.Fatal("no SAT escalations at limit 1000 — determinism check is vacuous")
+		t.Fatal("no SAT escalations at the default budget — determinism check is vacuous")
 	}
 	if ref.Result.Aborted != 0 || ref.Metrics().Aborted != 0 {
 		t.Errorf("escalation left %d aborted faults; the Abt column must read 0", ref.Result.Aborted)

@@ -20,7 +20,8 @@ import (
 // Config controls the test-generation run.
 type Config struct {
 	// BacktrackLimit bounds each PODEM search; a fault whose search
-	// exhausts the limit is marked Aborted rather than Undetectable.
+	// exhausts the limit goes to the SAT tier, or is marked Aborted when
+	// SATEscalate is off.
 	BacktrackLimit int
 	// RandomBlocks is the number of 64-test random-pair blocks simulated
 	// before the deterministic phase.
@@ -75,7 +76,8 @@ type Config struct {
 	// cone hashes the verdict cache uses, with undetectability proofs
 	// memoized within the run so cone-isomorphic hard faults are proven
 	// once. Verdicts equal what an unlimited PODEM search would return, so
-	// tables match the unlimited baseline byte for byte.
+	// tables match the unlimited baseline byte for byte. DefaultConfig
+	// turns it on; only tests turn it off, to run raw PODEM as an oracle.
 	SATEscalate bool
 	// Ledger, when non-nil, receives the run's flight-recorder records: one
 	// stage record (labelled Stage) followed by one verdict record per
@@ -94,14 +96,17 @@ type Config struct {
 // throughout the experiments: the single source for DefaultConfig, the
 // zero-value fallback in Run, and (via Config.BacktrackLimit) the top bucket
 // of the backtracks-per-search histogram.
-const DefaultBacktrackLimit = 12000
+const DefaultBacktrackLimit = 1000
 
-// DefaultConfig returns the configuration used throughout the experiments.
-// The backtrack limit is sized so that redundancy proofs that must exhaust
-// the value space of a ~12-input cone (consensus-style redundancy wrapped
-// around comparators) complete instead of aborting.
+// DefaultConfig returns the configuration used throughout the experiments:
+// PODEM under DefaultBacktrackLimit, with the SAT tier behind it. Both tiers
+// are complete, so the limit only decides which one settles a fault, never
+// its verdict. Most searches end well inside the budget; the rare hard ones
+// past it (redundancy proofs that would exhaust the value space of a wide
+// reconvergent cone) go to the CDCL solver, which settles them far faster
+// than more backtracking would.
 func DefaultConfig() Config {
-	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1}
+	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1, SATEscalate: true}
 }
 
 // Result summarizes a test-generation run.

@@ -142,6 +142,7 @@ func TestEscalationMatchesUnlimitedPODEM(t *testing.T) {
 
 		ref := DefaultConfig()
 		ref.BacktrackLimit = 1 << 30 // effectively unlimited on a 4-PI circuit
+		ref.SATEscalate = false      // raw PODEM is the oracle
 		refSt, _, refRes := runSnapshot(c, ref)
 		if refRes.Aborted != 0 {
 			t.Fatalf("circuit %d: unlimited reference run aborted %d faults", ci, refRes.Aborted)
@@ -149,7 +150,6 @@ func TestEscalationMatchesUnlimitedPODEM(t *testing.T) {
 
 		cfg := DefaultConfig()
 		cfg.BacktrackLimit = 1 // starve PODEM: almost everything escalates
-		cfg.SATEscalate = true
 		st, _, res := runSnapshot(c, cfg)
 		if res.Aborted != 0 {
 			t.Errorf("circuit %d: %d faults still Aborted with escalation on", ci, res.Aborted)
@@ -180,7 +180,6 @@ func TestEscalationByteIdenticalAcrossWorkers(t *testing.T) {
 	c := randCircuit(rng, 40)
 	cfg := DefaultConfig()
 	cfg.BacktrackLimit = 1
-	cfg.SATEscalate = true
 	cfg.Workers = 1
 	refSt, refTests, refRes := runSnapshot(c, cfg)
 	if refRes.SATEscalations == 0 {

@@ -87,8 +87,10 @@ func Pairs(d *flow.Design) []Pair {
 // detects the detectable member while the undetectable member's local
 // activation condition holds (so the defect neighbourhood is exercised in
 // its failing state). Pairs whose combined condition is unsatisfiable are
-// counted as uncovered. maxPairsPerFault bounds the campaign per
-// undetectable fault (0 = unlimited).
+// counted as uncovered. Each search is raw PODEM under the environment's
+// backtrack budget, with no SAT tier behind it, so a pair whose search
+// exhausts the budget is counted as aborted. maxPairsPerFault bounds the
+// campaign per undetectable fault (0 = unlimited).
 func Run(d *flow.Design, maxPairsPerFault int, seed int64) Result {
 	c := d.C
 	order := c.Levelize()

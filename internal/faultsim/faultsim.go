@@ -5,6 +5,8 @@
 package faultsim
 
 import (
+	"math/bits"
+
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
@@ -276,29 +278,58 @@ func (e *Engine) pop() int32 {
 	return top
 }
 
+// maxCellInputs bounds the host gates of cell-aware faults: the widest
+// library cell has 4 inputs, so a gate's input-minterm words fit in a
+// 16-word array on the stack.
+const maxCellInputs = 4
+
+// minterms holds a gate's input-minterm words: word a has bit p set exactly
+// when pattern p applies input assignment a (pin i is bit i of a).
+type minterms [1 << maxCellInputs]logic.Word
+
 // cellAwareActivation computes the word of tests whose gate-input
 // assignments activate the cell-aware fault (output flip at the final
-// phase).
+// phase). It works on whole words: the patterns applying a set of input
+// assignments are the OR of those assignments' minterm words.
 func (e *Engine) cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
-	g := f.Gate
 	beh := f.Behavior
-	asgFinal := sim.GateInputAssignments(g, b.Vals)
-	var act logic.Word
-	for p := 0; p < b.N; p++ {
-		if beh.StaticMask>>asgFinal[p]&1 == 1 {
-			act |= 1 << uint(p)
-		}
-	}
+	var final minterms
+	final.fill(f.Gate, b.Vals)
+	act := final.or(beh.StaticMask)
 	if len(beh.PairMask) > 0 && b.HasInit != 0 {
-		asgInit := sim.GateInputAssignments(g, b.InitVals)
-		for p := 0; p < b.N; p++ {
-			if b.HasInit>>uint(p)&1 == 0 || act>>uint(p)&1 == 1 {
-				continue
-			}
-			if beh.PairMask[asgInit[p]]>>asgFinal[p]&1 == 1 {
-				act |= 1 << uint(p)
+		var init minterms
+		init.fill(f.Gate, b.InitVals)
+		var dyn logic.Word
+		for a1, m := range beh.PairMask {
+			if m != 0 && init[a1] != 0 {
+				dyn |= init[a1] & final.or(m)
 			}
 		}
+		act |= b.HasInit & dyn
 	}
-	return act
+	return act & b.Valid
+}
+
+// fill builds gate g's minterm words from the per-net words vals with one
+// AND pass per input: input i splits every minterm built so far in two.
+func (m *minterms) fill(g *netlist.Gate, vals []logic.Word) {
+	m[0] = logic.AllOnes
+	for i, in := range g.Fanin {
+		w := vals[in.ID]
+		half := 1 << uint(i)
+		for a := 0; a < half; a++ {
+			m[a|half] = m[a] & w
+			m[a] &^= w
+		}
+	}
+}
+
+// or returns the OR of the minterm words whose assignment bits are set in
+// mask.
+func (m *minterms) or(mask uint64) logic.Word {
+	var w logic.Word
+	for ; mask != 0; mask &= mask - 1 {
+		w |= m[bits.TrailingZeros64(mask)]
+	}
+	return w
 }

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"math/bits"
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/logic"
@@ -112,12 +113,7 @@ func (p *Pool) DetectedBy(l *fault.List, tests []Test) []int {
 				next = append(next, f)
 				continue
 			}
-			for q := 0; q < b.N; q++ {
-				if d>>uint(q)&1 == 1 {
-					per[start+q]++
-					break
-				}
-			}
+			per[start+bits.TrailingZeros64(d)]++
 		}
 		active = next
 	}

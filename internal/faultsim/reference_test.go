@@ -67,7 +67,7 @@ func refDetects(e *Engine, f *fault.Fault, b *Block) logic.Word {
 		fvals[f.Net.ID] = b.Vals[f.Other.ID]
 		dirty[f.Net.ID] = true
 	case fault.CellAware:
-		act := e.cellAwareActivation(f, b)
+		act := refActivation(f, b)
 		if act == 0 {
 			return 0
 		}
@@ -109,6 +109,36 @@ func refDetects(e *Engine, f *fault.Fault, b *Block) logic.Word {
 	return det & b.Valid
 }
 
+// refActivation is the cell-aware activation of f one pattern at a time:
+// it reads the host gate's input assignment under each valid pattern, in
+// both phases, and looks it up in the behaviour's masks. A pattern activates
+// the fault when its final assignment is in StaticMask, or when it is a
+// two-pattern test whose (initial, final) pair is in PairMask.
+func refActivation(f *fault.Fault, b *Block) logic.Word {
+	assignment := func(vals []logic.Word, p int) uint {
+		var a uint
+		for i, in := range f.Gate.Fanin {
+			a |= uint(vals[in.ID]>>uint(p)&1) << uint(i)
+		}
+		return a
+	}
+	beh := f.Behavior
+	var act logic.Word
+	for p := 0; p < b.N; p++ {
+		final := assignment(b.Vals, p)
+		hit := beh.StaticMask>>final&1 == 1
+		if b.HasInit>>uint(p)&1 == 1 {
+			if init := assignment(b.InitVals, p); init < uint(len(beh.PairMask)) {
+				hit = hit || beh.PairMask[init]>>final&1 == 1
+			}
+		}
+		if hit {
+			act |= 1 << uint(p)
+		}
+	}
+	return act
+}
+
 // refDetectedBy is the credit loop of Pool.DetectedBy over refDetects.
 func refDetectedBy(e *Engine, l *fault.List, tests []Test) []int {
 	per := make([]int, len(tests))
@@ -140,7 +170,7 @@ func refDetectedBy(e *Engine, l *fault.List, tests []Test) []int {
 // same net on two pins; several nets, some with fanout, are marked PO.
 func randNetlist(rng *rand.Rand, npi, gates int) *netlist.Circuit {
 	names := []string{"NAND2X1", "NOR2X1", "XOR2X1", "INVX1", "AND2X2",
-		"OAI21X1", "MUX2X1", "AOI22X1", "BUFX2", "NAND3X1"}
+		"OAI21X1", "MUX2X1", "AOI22X1", "BUFX2", "NAND3X1", "NOR4X1"}
 	c := netlist.New("rand", lib)
 	var nets []*netlist.Net
 	for i := 0; i < npi; i++ {
@@ -168,18 +198,21 @@ func randNetlist(rng *rand.Rand, npi, gates int) *netlist.Circuit {
 	return c
 }
 
-// randBehavior fabricates a cell-aware behaviour for gate g: static only
-// (dynamic false), or dynamic only (static false).
-func randBehavior(rng *rand.Rand, g *netlist.Gate, dynamic bool) *switchsim.Behavior {
+// randBehavior fabricates a cell-aware behaviour for gate g with a random
+// static mask, random pair masks, or both. A mixed behaviour's masks may
+// share assignments, so activation must OR them rather than pick one.
+func randBehavior(rng *rand.Rand, g *netlist.Gate, static, dynamic bool) *switchsim.Behavior {
 	k := len(g.Fanin)
+	all := uint64(1)<<(1<<uint(k)) - 1
 	beh := &switchsim.Behavior{Inputs: k}
-	if !dynamic {
-		beh.StaticMask = rng.Uint64() & (1<<(1<<uint(k)) - 1)
-		return beh
+	if static {
+		beh.StaticMask = rng.Uint64() & all
 	}
-	beh.PairMask = make([]uint64, 1<<uint(k))
-	for a := range beh.PairMask {
-		beh.PairMask[a] = rng.Uint64() & (1<<(1<<uint(k)) - 1) &^ (1 << uint(a))
+	if dynamic {
+		beh.PairMask = make([]uint64, 1<<uint(k))
+		for a := range beh.PairMask {
+			beh.PairMask[a] = rng.Uint64() & all &^ (1 << uint(a))
+		}
 	}
 	return beh
 }
@@ -206,8 +239,8 @@ func inFanoutCone(from, to *netlist.Net) bool {
 
 // randFaults lists faults of every model over c: stem and branch stuck-at
 // and transition faults on every net and fanout pin, bridges (with feedback
-// bridges whose aggressor lies in the victim's fanout cone), and static and
-// dynamic cell-aware faults.
+// bridges whose aggressor lies in the victim's fanout cone), and static,
+// dynamic and mixed cell-aware faults.
 func randFaults(rng *rand.Rand, c *netlist.Circuit) []*fault.Fault {
 	var fs []*fault.Fault
 	for _, n := range c.Nets {
@@ -227,9 +260,9 @@ func randFaults(rng *rand.Rand, c *netlist.Circuit) []*fault.Fault {
 		fs = append(fs, &fault.Fault{Model: fault.Bridge, Net: a, Other: b})
 	}
 	for _, g := range c.Gates {
-		for _, dyn := range []bool{false, true} {
+		for _, kind := range [][2]bool{{true, false}, {false, true}, {true, true}} {
 			fs = append(fs, &fault.Fault{Model: fault.CellAware, Internal: true, Gate: g,
-				Behavior: randBehavior(rng, g, dyn)})
+				Behavior: randBehavior(rng, g, kind[0], kind[1])})
 		}
 	}
 	return fs

@@ -79,12 +79,6 @@ type Env struct {
 	// stay byte-identical to an unscreened run. A zero-valued Env leaves
 	// it off.
 	StaticProof implic.Mode
-	// SATEscalate enables the CDCL escalation tier behind PODEM (see
-	// atpg.Config.SATEscalate): backtrack-limited searches that give up are
-	// re-solved to completion, so analyses carry no Aborted faults and
-	// every verdict matches an unlimited search. NewEnv defaults it on; a
-	// zero-valued Env leaves it off.
-	SATEscalate bool
 	// Ledger, when non-nil, is the run flight recorder: every fault-
 	// classification stage the environment runs appends one stage record
 	// plus per-fault verdict provenance (see obs.Ledger and atpg.Config.
@@ -104,7 +98,6 @@ func (e *Env) atpgConfig() atpg.Config {
 	cfg.Obs = e.Obs
 	cfg.Ctx = e.Ctx
 	cfg.Static = e.StaticProof
-	cfg.SATEscalate = e.SATEscalate
 	if e.FaultCache != nil {
 		e.FaultCache.Instrument(e.Obs)
 	}
@@ -121,7 +114,6 @@ func NewEnv() *Env {
 		ATPG:        atpg.DefaultConfig(),
 		Seed:        1,
 		StaticProof: implic.ModeScreen,
-		SATEscalate: true,
 	}
 }
 
@@ -387,7 +379,9 @@ func (e *Env) UndetectableInternal(c *netlist.Circuit) int {
 	sp := obs.Start(e.Obs, "flow/uint_screen")
 	defer sp.End()
 	l := e.InternalFaultList(c)
-	atpg.Run(c, l, e.atpgConfig())
+	cfg := e.atpgConfig()
+	cfg.NoCompact = true // only the U count is kept, never the test set
+	atpg.Run(c, l, cfg)
 	return l.Count().Undetectable
 }
 
@@ -413,13 +407,14 @@ type Metrics struct {
 	// classified Undetectable without a PODEM search (subset of U).
 	StaticProven int
 	// Aborted is the number of faults left unproven (neither detected nor
-	// undetectable) when the backtrack budget ran out. They count as
-	// covered in Cov — the paper's convention — so this column keeps the
-	// inflation honest. With Env.SATEscalate on it is always zero.
+	// undetectable). They count as covered in Cov — the paper's convention
+	// — so this column keeps the inflation honest. The SAT tier settles
+	// every search that exhausts the backtrack budget, so only a fault
+	// quarantined after two worker panics can land here.
 	Aborted int
 	// SATEscalations / SATConflicts report the CDCL escalation tier's
-	// work during this analysis (zero when the tier is off or never
-	// triggered).
+	// work during this analysis (zero when no search exhausted the
+	// backtrack budget).
 	SATEscalations int
 	SATConflicts   int64
 }

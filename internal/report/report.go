@@ -27,7 +27,8 @@ func TableIRow(name string, m flow.Metrics) string {
 
 // TableIIHeader returns the header of Table II (experimental results). Abt
 // is the count of aborted (unproven) faults — faults Cov silently counts as
-// covered; it reads 0 whenever the SAT escalation tier is on.
+// covered; the SAT escalation tier settles every search that exhausts the
+// backtrack budget, so it reads 0 unless a fault was quarantined.
 func TableIIHeader() string {
 	return fmt.Sprintf("%-12s %-5s %8s %6s %5s %8s %5s %6s %10s %7s %9s %8s %8s %6s",
 		"Circuit", "MaxInc", "F", "U", "Abt", "Cov", "T", "Smax", "%Smax_all", "Smax_I", "%Smax_I", "Delay", "Power", "Rtime")
@@ -65,11 +66,10 @@ func TableIIResynRow(r *resyn.Result, rtime float64) string {
 // instead of a misleading 0.0% hit rate; likewise the static column reads
 // "off" when the screen is disabled (staticProven < 0) rather than
 // conflating "off" with "nothing proven". The aborted count and the SAT
-// escalation tier's work (escalations and solver conflicts; "sat off" when
-// the tier is disabled, signalled by satEscalations < 0) round out the row:
-// together they show whether hard faults were left unproven or escalated to
-// a definitive verdict. Plain parameters keep the formatting decoupled from
-// the cache and engine implementations.
+// escalation tier's work (escalations and solver conflicts) round out the
+// row: together they show whether hard faults were left unproven or
+// escalated to a definitive verdict. Plain parameters keep the formatting
+// decoupled from the cache and engine implementations.
 func PerfRow(name string, workers int, atpgSeconds, hitRate float64, lookups, entries, staticProven,
 	aborted, satEscalations int, satConflicts int64) string {
 	cache := "cache   n/a"
@@ -80,12 +80,8 @@ func PerfRow(name string, workers int, atpgSeconds, hitRate float64, lookups, en
 	if staticProven >= 0 {
 		static = fmt.Sprintf("static %d proved/0-search", staticProven)
 	}
-	sat := "sat off"
-	if satEscalations >= 0 {
-		sat = fmt.Sprintf("sat %d esc/%d conf", satEscalations, satConflicts)
-	}
-	return fmt.Sprintf("%-12s perf  workers=%-3d atpg=%8.3fs  %s  %s  aborted=%d  %s",
-		name, workers, atpgSeconds, cache, static, aborted, sat)
+	return fmt.Sprintf("%-12s perf  workers=%-3d atpg=%8.3fs  %s  %s  aborted=%d  sat %d esc/%d conf",
+		name, workers, atpgSeconds, cache, static, aborted, satEscalations, satConflicts)
 }
 
 // ResilienceRow renders what a run survived: worker panics recovered by
@@ -104,7 +100,7 @@ func ResilienceRow(name string, recovered, quarantined int, corrupt uint64, repl
 // breakdowns are pure functions of (circuit, configuration) — the orig
 // analysis runs cacheless and the signoff bypasses the cache — so prov rows
 // are identical across worker counts, resumes and chaos injection; they
-// shift only when a tier is reconfigured (-staticproof, -satescalate).
+// shift only when a tier is reconfigured (-staticproof).
 func ProvRow(name, which string, t obs.TierCounts) string {
 	return fmt.Sprintf("%-12s prov  %-5s cache=%-4d implic=%-4d collateral=%-4d podem=%-4d sat=%-4d sat-memo=%d",
 		name, which, t.Cache, t.Implic, t.Collateral, t.Podem, t.SAT, t.SATMemo)

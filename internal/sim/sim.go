@@ -96,16 +96,3 @@ func PatternsToWords(patterns [][]uint8, numPI int) []logic.Word {
 	}
 	return w
 }
-
-// GateInputAssignments extracts, for each of the 64 patterns, the packed
-// input assignment seen by gate g given the per-net simulation values.
-func GateInputAssignments(g *netlist.Gate, vals []logic.Word) [64]uint {
-	var out [64]uint
-	for i, f := range g.Fanin {
-		w := vals[f.ID]
-		for p := 0; p < 64; p++ {
-			out[p] |= uint(w>>uint(p)&1) << uint(i)
-		}
-	}
-	return out
-}

@@ -81,23 +81,6 @@ func TestPatternsToWords(t *testing.T) {
 	}
 }
 
-func TestGateInputAssignments(t *testing.T) {
-	c := buildMux(t)
-	s := New(c)
-	words := PatternsToWords([][]uint8{{1, 0, 0}, {1, 1, 1}}, 3)
-	vals := s.Run(words)
-	// u1 = NAND2(a, sn): pattern 0: a=1, sn=1 -> assignment 0b11;
-	// pattern 1: a=1, sn=0 -> 0b01.
-	g := c.NetByName("u1_o").Driver
-	asg := GateInputAssignments(g, vals)
-	if asg[0] != 0b11 {
-		t.Errorf("pattern 0 assignment = %b, want 11", asg[0])
-	}
-	if asg[1] != 0b01 {
-		t.Errorf("pattern 1 assignment = %b, want 01", asg[1])
-	}
-}
-
 func TestRunIntoReuse(t *testing.T) {
 	c := buildMux(t)
 	s := New(c)
