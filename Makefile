@@ -67,10 +67,11 @@ bench:
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
-# Fast benchmark gate: every physical-path microbenchmark and the three ATPG
+# Fast benchmark gate: every physical-path microbenchmark and the four ATPG
 # hot-loop microbenchmarks (event-driven fault simulation of one block over
-# synth1k's faults, synth1k's PODEM searches, and the static stage: synth1k's
-# implication closure plus the screen of its DFM faults) compile and run one
+# synth1k's faults, fault by fault and site-shared through a pool; synth1k's
+# PODEM searches; and the static stage: synth1k's implication closure plus
+# the screen of its DFM faults) compile and run one
 # iteration under the race detector, and the 10k-gate tier builds and checks
 # cleanly — so `make check` catches a bit-rotted benchmark or scale circuit
 # without paying for a full -bench run.
@@ -159,9 +160,9 @@ serve-smoke:
 # Short fuzz passes over every hand-rolled parser/decoder — the canonical
 # netlist reader, the exact-order checkpoint codec, the journal envelope,
 # and the sweep-checkpoint loader — and over the differential engine checks
-# (static implication, CNF encoding, event-driven fault simulation against
-# the whole-circuit reference). Corpora grow under -fuzztime as long as you
-# let them run.
+# (static implication, CNF encoding, event-driven and site-shared fault
+# simulation against the whole-circuit reference). Corpora grow under
+# -fuzztime as long as you let them run.
 fuzz:
 	$(GO) test -fuzz=FuzzRead$$ -fuzztime=30s ./internal/netlist/
 	$(GO) test -fuzz=FuzzReadExact -fuzztime=30s ./internal/netlist/
@@ -169,6 +170,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/resyn/
 	$(GO) test -fuzz=FuzzImplic -fuzztime=30s ./internal/implic/
 	$(GO) test -fuzz=FuzzCNF -fuzztime=30s ./internal/atpg/
-	$(GO) test -fuzz=FuzzDetects -fuzztime=30s ./internal/faultsim/
+	$(GO) test -fuzz=FuzzDetects$$ -fuzztime=30s ./internal/faultsim/
+	$(GO) test -fuzz=FuzzDetectsMany -fuzztime=30s ./internal/faultsim/
 	$(GO) test -fuzz=FuzzLedger -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzVstore -fuzztime=30s ./internal/vstore/

@@ -1,8 +1,10 @@
 package atpg
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sort"
 
@@ -295,8 +297,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	if cfg.Cache != nil {
 		spCache := obs.Start(cfg.Obs, "atpg/cache", obs.Int("faults", len(l.Faults)))
 		witness = make([]faultsim.Test, len(l.Faults))
-		var seeds []faultsim.Test
-		seen := make(map[string]bool)
+		seeds := witnessSet{seen: make(map[uint64]int)}
 		for i, f := range l.Faults {
 			if f.Status != fault.Untried {
 				continue
@@ -319,22 +320,15 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 				if len(e.Vec) != npi || (e.Init != nil && len(e.Init) != npi) {
 					continue // witness from a different PI interface
 				}
-				sig := string(e.Vec) + "\x00" + string(e.Init)
-				if !seen[sig] {
-					seen[sig] = true
-					seeds = append(seeds, faultsim.Test{Init: e.Init, Vec: e.Vec})
-				}
+				seeds.add(faultsim.Test{Init: e.Init, Vec: e.Vec})
 			}
 		}
-		for start := 0; start < len(seeds) && !resilience.Done(ctx); start += 64 {
-			end := start + 64
-			if end > len(seeds) {
-				end = len(seeds)
-			}
-			tests = append(tests, detectBlock(seeds[start:end], untried, obs.TierCache)...)
+		for start := 0; start < len(seeds.tests) && !resilience.Done(ctx); start += 64 {
+			end := min(start+64, len(seeds.tests))
+			tests = append(tests, detectBlock(seeds.tests[start:end], untried, obs.TierCache)...)
 		}
-		cfg.Obs.Counter("atpg/cache_replayed_witnesses").Add(int64(len(seeds)))
-		spCache.Annotate(obs.Int("replayed_witnesses", len(seeds)))
+		cfg.Obs.Counter("atpg/cache_replayed_witnesses").Add(int64(len(seeds.tests)))
+		spCache.Annotate(obs.Int("replayed_witnesses", len(seeds.tests)))
 		spCache.End()
 	}
 
@@ -767,6 +761,34 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		reg.Counter("fcache/hits").Add(int64(res.CacheHits))
 	}
 	return res
+}
+
+// witnessSet deduplicates replayed cache witnesses by content, keeping
+// first-occurrence order. seen maps a content hash to the witness's index in
+// tests; a hash already taken by a different witness probes the next key,
+// so adding a witness compares bytes and allocates no key. A nil Init and an
+// npi-long one differ in length, so they stay distinct.
+type witnessSet struct {
+	seen  map[uint64]int
+	tests []faultsim.Test
+	h     maphash.Hash
+}
+
+func (s *witnessSet) add(t faultsim.Test) {
+	s.h.Reset()
+	s.h.Write(t.Vec)
+	s.h.Write(t.Init)
+	for k := s.h.Sum64(); ; k++ {
+		i, ok := s.seen[k]
+		if !ok {
+			s.seen[k] = len(s.tests)
+			s.tests = append(s.tests, t)
+			return
+		}
+		if bytes.Equal(s.tests[i].Vec, t.Vec) && bytes.Equal(s.tests[i].Init, t.Init) {
+			return
+		}
+	}
 }
 
 // satSeedSalt decorrelates the escalation tier's witness-fill rng stream

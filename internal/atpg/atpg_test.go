@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfmresyn/internal/fault"
@@ -361,5 +362,43 @@ func TestRunDeterministicAcrossSeedsForVerdicts(t *testing.T) {
 		if s1[i] != s2[i] {
 			t.Fatalf("fault %d verdict differs across seeds: %v vs %v", i, s1[i], s2[i])
 		}
+	}
+}
+
+// TestWitnessSetDedupes: replayed witnesses are deduplicated by content in
+// first-occurrence order, a nil Init and an npi-long Init stay distinct, and
+// a witness whose hash key is already taken by a different one probes past
+// it instead of being merged.
+func TestWitnessSetDedupes(t *testing.T) {
+	s := witnessSet{seen: make(map[uint64]int)}
+	a := faultsim.Test{Vec: []uint8{0, 1, 1}}
+	aInit := faultsim.Test{Init: []uint8{0, 1, 1}, Vec: []uint8{0, 1, 1}}
+	b := faultsim.Test{Init: []uint8{1, 0, 0}, Vec: []uint8{1, 1, 0}}
+	for _, w := range []faultsim.Test{a, aInit, a, b,
+		{Vec: []uint8{0, 1, 1}},                           // a, in another slice
+		{Init: []uint8{0, 1, 1}, Vec: []uint8{0, 1, 1}},   // aInit
+		{Init: []uint8{1, 0, 0}, Vec: []uint8{1, 1, 0}}} { // b
+		s.add(w)
+	}
+	want := []faultsim.Test{a, aInit, b}
+	if len(s.tests) != len(want) {
+		t.Fatalf("%d witnesses kept, want %d", len(s.tests), len(want))
+	}
+	for i, w := range want {
+		if !slices.Equal(s.tests[i].Vec, w.Vec) || !slices.Equal(s.tests[i].Init, w.Init) ||
+			(s.tests[i].Init == nil) != (w.Init == nil) {
+			t.Errorf("witness %d = %v, want %v", i, s.tests[i], w)
+		}
+	}
+
+	// Plant a's index at c's hash key: c must probe past it and be kept.
+	c := faultsim.Test{Vec: []uint8{1, 0, 1}}
+	s.h.Reset()
+	s.h.Write(c.Vec)
+	s.seen[s.h.Sum64()] = 0
+	s.add(c)
+	s.add(c)
+	if len(s.tests) != 4 || !slices.Equal(s.tests[3].Vec, c.Vec) {
+		t.Fatalf("colliding witness not kept once: %v", s.tests)
 	}
 }

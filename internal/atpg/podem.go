@@ -104,6 +104,7 @@ type podem struct {
 	queue    []*netlist.Net
 	frontier []*netlist.Gate
 	gpos     []int32
+	stack    []decision // the current search's PI decisions
 
 	// v5tab holds each gate's five-valued evaluation table, by gate ID;
 	// gates of one cell share the cell's table.
@@ -246,7 +247,7 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 	}
 	p.backtracks = 0
 	p.buildCone()
-	var stack []decision
+	p.stack = p.stack[:0]
 
 	for {
 		p.imply()
@@ -273,17 +274,17 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 				pi, val, ok2 = p.firstFreePI()
 			}
 			if ok2 {
-				stack = append(stack, decision{pi: pi, val: val})
+				p.stack = append(p.stack, decision{pi: pi, val: val})
 				p.piVal[pi] = int8(val)
 				continue
 			}
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
+			if len(p.stack) == 0 {
 				return ProvenImpossible, nil
 			}
-			top := &stack[len(stack)-1]
+			top := &p.stack[len(p.stack)-1]
 			if !top.flipped {
 				top.flipped = true
 				top.val ^= 1
@@ -296,7 +297,7 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 				break
 			}
 			p.piVal[top.pi] = -1
-			stack = stack[:len(stack)-1]
+			p.stack = p.stack[:len(p.stack)-1]
 		}
 	}
 }
@@ -659,7 +660,8 @@ func (p *podem) propagationObjective(g *netlist.Gate) (*netlist.Net, uint8, bool
 // gate output an error value. Error inputs are fixed at their D/DBar value.
 func (p *podem) outputCanError(g *netlist.Gate, in []logic.V5) bool {
 	n := len(in)
-	var xIdx []int
+	var buf [8]int
+	xIdx := buf[:0]
 	for i, v := range in {
 		if v == logic.X {
 			xIdx = append(xIdx, i)
@@ -748,7 +750,8 @@ func (p *podem) backtraceStep(g *netlist.Gate, v uint8) (int, uint8, bool) {
 
 // goodCanBe reports whether a completion of X inputs gives good output v.
 func goodCanBe(g *netlist.Gate, in []logic.V5, v uint8) bool {
-	var xIdx []int
+	var buf [8]int
+	xIdx := buf[:0]
 	var base uint
 	for i, val := range in {
 		gb, known := val.Good()

@@ -25,13 +25,15 @@ type Test struct {
 // Engine simulates one circuit. It is not safe for concurrent use: the
 // faulty-value overlay and the event queue are reused across calls.
 //
-// Detects is event-driven. Faulty values live in an overlay over the block's
-// good values: fv[n] holds net n's faulty word only while stamp[n] equals the
-// current epoch, so starting a new fault is one epoch increment rather than
-// a copy of every net word. A net whose faulty word differs from its good
-// word schedules its fanout gates on a min-queue of topological positions;
-// propagation ends when the queue drains, so a call costs the part of the
-// fault's fanout cone that the effect actually reaches.
+// Every fault model acts as a flip of one net, its site, in the patterns of
+// an activation mask (see activation). Simulation is event-driven. Faulty
+// values live in an overlay over the block's good values: fv[n] holds net
+// n's faulty word only while stamp[n] equals the current epoch, so starting
+// a new propagation is one epoch increment rather than a copy of every net
+// word. A net whose faulty word differs from its good word schedules its
+// fanout gates on a min-queue of topological positions; propagation ends
+// when the queue drains, so a call costs the part of the site's fanout cone
+// that the flip actually reaches.
 type Engine struct {
 	c     *netlist.Circuit
 	sim   *sim.Simulator
@@ -110,66 +112,77 @@ func (e *Engine) SimBlock(tests []Test) *Block {
 	return b
 }
 
-// Detects returns the word of tests in the block that detect f.
+// Detects returns the word of tests in the block that detect f: its
+// activation mask ANDed with the PO difference of flipping its site there.
 func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
-	e.begin()
-
-	// forced rewires gate-level evaluation for branch faults: when the
-	// faulty site is a branch, only that (gate, pin) sees the forced
-	// value; the stem keeps its good value.
-	var forced *netlist.Gate
-	var forcedPin int
-	var forcedWord logic.Word
-
-	broadcast := func(v uint8) logic.Word {
-		if v&1 == 1 {
-			return logic.AllOnes
-		}
+	site, mask := activation(f, b)
+	if mask == 0 {
 		return 0
 	}
+	return mask & e.observe(site, mask, b)
+}
 
+// activation returns the net whose flip models f in block b, and the mask of
+// valid patterns in which f flips it. A branch fault's forced pin is seen by
+// one gate only, so its site is that gate's output; a bridge's victim takes
+// the aggressor's good value and is never re-evaluated, so even a feedback
+// bridge flips one net.
+//
+// Parallel-pattern simulation never mixes patterns, so f's detection word is
+// mask ANDed with the PO-difference word of flipping the site in any
+// superset of mask. Faults on one site therefore share one propagation.
+func activation(f *fault.Fault, b *Block) (*netlist.Net, logic.Word) {
 	switch f.Model {
-	case fault.StuckAt:
-		if f.BranchGate == nil {
-			e.set(f.Net, broadcast(f.Value), b)
-		} else {
-			forced, forcedPin = f.BranchGate, f.BranchPin
-			forcedWord = broadcast(f.Value)
+	case fault.StuckAt, fault.Transition:
+		good := b.Vals[f.Net.ID]
+		flip := good
+		if f.Value&1 == 1 {
+			flip = ^good
 		}
-
-	case fault.Transition:
-		// Launch condition: the site held Value in the init phase and
-		// should move to ~Value; the slow site keeps Value.
-		init := b.InitVals[f.Net.ID]
-		if f.Value&1 == 0 {
-			init = ^init
+		if f.Model == fault.Transition {
+			// Launch condition: the site held Value in the init phase and
+			// should move to ~Value; the slow site keeps Value.
+			init := b.InitVals[f.Net.ID]
+			if f.Value&1 == 0 {
+				init = ^init
+			}
+			flip &= b.HasInit & init
 		}
-		cond := b.HasInit & init
-		w := (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
-		if f.BranchGate == nil {
-			e.set(f.Net, w, b)
-		} else {
-			forced, forcedPin = f.BranchGate, f.BranchPin
-			forcedWord = w
+		flip &= b.Valid
+		g := f.BranchGate
+		if g == nil || flip == 0 {
+			return f.Net, flip
 		}
+		// Only the branch's (gate, pin) sees the forced word; the stem
+		// keeps its good value.
+		var buf [8]logic.Word
+		in := buf[:len(g.Fanin)]
+		for i, fn := range g.Fanin {
+			in[i] = b.Vals[fn.ID]
+		}
+		in[f.BranchPin] = good ^ flip
+		return g.Out, (g.Type.TT.EvalWord(in) ^ b.Vals[g.Out.ID]) & b.Valid
 
 	case fault.Bridge:
-		// Dominant model: the victim assumes the aggressor's good value.
-		// The victim is never re-evaluated, so an aggressor inside the
-		// victim's own fanout cone keeps feeding its good value.
-		e.set(f.Net, b.Vals[f.Other.ID], b)
+		return f.Net, (b.Vals[f.Net.ID] ^ b.Vals[f.Other.ID]) & b.Valid
 
 	case fault.CellAware:
-		out := f.Gate.Out
-		e.set(out, b.Vals[out.ID]^e.cellAwareActivation(f, b), b)
+		return f.Gate.Out, cellAwareActivation(f, b)
 	}
-	if forced != nil {
-		e.schedule(forced)
-	}
+	return nil, 0
+}
+
+// observe flips net n in the patterns of mask, propagates the change and
+// returns the word of patterns in which some PO differs from the good
+// circuit.
+func (e *Engine) observe(n *netlist.Net, mask logic.Word, b *Block) logic.Word {
+	e.begin()
+	e.set(n, b.Vals[n.ID]^mask, b)
 
 	// Propagate in topological order until no scheduled gate is left. A
 	// gate is popped only after every gate before it in the order, so its
-	// fanin words are final when it is evaluated.
+	// fanin words are final when it is evaluated. The site's driver lies
+	// outside its fanout cone, so the site itself is never re-evaluated.
 	var buf [8]logic.Word
 	for len(e.queue) > 0 {
 		g := e.order[e.pop()]
@@ -177,20 +190,16 @@ func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
 		for i, fn := range g.Fanin {
 			in[i] = e.val(fn, b)
 		}
-		if g == forced {
-			in[forcedPin] = forcedWord
-		}
 		e.set(g.Out, g.Type.TT.EvalWord(in), b)
 	}
 
 	// Only PO nets that received a faulty word can differ from the good
-	// circuit. A stem fault on a PO net is observed directly; a branch
-	// fault never changes the stem's own word.
+	// circuit; a site on a PO net is observed directly.
 	var det logic.Word
 	for _, po := range e.outs {
 		det |= e.fv[po.ID] ^ b.Vals[po.ID]
 	}
-	return det & b.Valid
+	return det
 }
 
 // begin starts a fresh overlay: every stamp from an earlier call becomes
@@ -291,7 +300,7 @@ type minterms [1 << maxCellInputs]logic.Word
 // assignments activate the cell-aware fault (output flip at the final
 // phase). It works on whole words: the patterns applying a set of input
 // assignments are the OR of those assignments' minterm words.
-func (e *Engine) cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
+func cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
 	beh := f.Behavior
 	var final minterms
 	final.fill(f.Gate, b.Vals)

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -114,4 +115,91 @@ func TestPoolDetectedByMatchesEngine(t *testing.T) {
 			t.Fatalf("workers=%d: per-test credit %v, want %v", workers, per, refPer)
 		}
 	}
+}
+
+// sharedSiteFaults lists randFaults' faults plus faults that pile up on few
+// sites, in a shuffled order so that one site's faults are interleaved with
+// other sites': several cell-aware behaviours on one host gate, bridges
+// sharing one victim, and a feedback bridge whose aggressor lies in the
+// victim's fanout cone. randFaults already puts every stem, branch and
+// transition fault of a net, and the host's own cell-aware faults, on the
+// net's site.
+func sharedSiteFaults(rng *rand.Rand, c *netlist.Circuit) []*fault.Fault {
+	fs := randFaults(rng, c)
+	host := c.Gates[rng.Intn(len(c.Gates))]
+	for k := 0; k < 8; k++ {
+		fs = append(fs, &fault.Fault{Model: fault.CellAware, Internal: true, Gate: host,
+			Behavior: randBehavior(rng, host, k%3 != 1, k%3 != 0)})
+	}
+	victim := c.Nets[rng.Intn(len(c.Nets))]
+	for k := 0; k < 4; k++ {
+		fs = append(fs, &fault.Fault{Model: fault.Bridge, Net: victim, Other: c.Nets[rng.Intn(len(c.Nets))]})
+	}
+	for _, n := range c.Nets {
+		if len(n.Fanout) > 0 {
+			fs = append(fs, &fault.Fault{Model: fault.Bridge, Net: n, Other: n.Fanout[0].Gate.Out})
+			break
+		}
+	}
+	rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+	return fs
+}
+
+// checkPoolAgainstReference runs Pool.DetectsMany over a random netlist's
+// shared-site faults at 1 and 2 workers, for a 1-test block (the
+// collateral-drop path), a partial block and a full one, and compares every
+// detection word with refDetects. Each block is simulated twice: over every
+// fault, then over a random subset in another order, so a site's state from
+// one call must not reach the next. A third pool's per-site stamp wraps
+// around at the first call of every block: first over stamps never set, then
+// over stamps an earlier block left at the reused epochs.
+func checkPoolAgainstReference(t *testing.T, rng *rand.Rand, npi, gates int) {
+	t.Helper()
+	c := randNetlist(rng, npi, gates)
+	faults := sharedSiteFaults(rng, c)
+	eng := New(c)
+	det := make([]logic.Word, len(faults))
+	for _, run := range []struct {
+		workers int
+		wrap    bool
+	}{{1, false}, {2, false}, {2, true}} {
+		p := NewPool(c, run.workers)
+		for _, n := range []int{1, 1 + rng.Intn(63), 64} {
+			if run.wrap {
+				p.sites.epoch = math.MaxUint32
+			}
+			b := p.SimBlock(randTests(rng, n, npi))
+			subset := append([]*fault.Fault(nil), faults...)
+			rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+			subset = subset[:rng.Intn(len(subset)+1)]
+			for _, fs := range [][]*fault.Fault{faults, subset} {
+				p.DetectsMany(fs, b, det[:len(fs)])
+				for i, f := range fs {
+					if want := refDetects(eng, f, b); det[i] != want {
+						t.Fatalf("workers=%d wrap=%v N=%d fault %v: DetectsMany = %016x, reference = %016x", run.workers, run.wrap, n, f, det[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDetectsManySharedSites compares the pool with the whole-circuit
+// reference on random netlists whose faults share sites.
+func TestDetectsManySharedSites(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		checkPoolAgainstReference(t, rng, 2+rng.Intn(6), 1+rng.Intn(40))
+	}
+}
+
+// FuzzDetectsMany differentially checks the pool against the whole-circuit
+// reference on fuzzer-chosen random netlists with shared-site faults.
+func FuzzDetectsMany(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(12))
+	f.Add(int64(9), uint8(6), uint8(35))
+	f.Add(int64(42), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, npi, gates uint8) {
+		checkPoolAgainstReference(t, rand.New(rand.NewSource(seed)), 1+int(npi%8), 1+int(gates%48))
+	})
 }
