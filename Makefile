@@ -67,19 +67,20 @@ bench:
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
-# Fast benchmark gate: every physical-path microbenchmark and the four ATPG
+# Fast benchmark gate: every physical-path microbenchmark, the four ATPG
 # hot-loop microbenchmarks (event-driven fault simulation of one block over
 # synth1k's faults, fault by fault and site-shared through a pool; synth1k's
 # PODEM searches; and the static stage: synth1k's implication closure plus
-# the screen of its DFM faults) compile and run one
-# iteration under the race detector, and the 10k-gate tier builds and checks
-# cleanly — so `make check` catches a bit-rotted benchmark or scale circuit
-# without paying for a full -bench run.
+# the screen of its DFM faults) and the flight recorder's per-verdict cost
+# (BenchmarkLedgerVerdict: encode, digest and write one ledger record)
+# compile and run one iteration under the race detector, and the 10k-gate
+# tier builds and checks cleanly — so `make check` catches a bit-rotted
+# benchmark or scale circuit without paying for a full -bench run.
 bench-smoke:
 	$(GO) test -race -run 'TestScaleCircuits' \
-		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic' \
+		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic|BenchmarkLedgerVerdict' \
 		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
-		./internal/faultsim/ ./internal/atpg/ ./internal/implic/
+		./internal/faultsim/ ./internal/atpg/ ./internal/implic/ ./internal/obs/
 
 # End-to-end smoke test of the observability exports: run the CLI on the
 # fastest benchmark with tracing on, then validate both files with obscheck

@@ -9,6 +9,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"dfmresyn/internal/atpg"
@@ -104,12 +105,21 @@ func (e *Env) atpgConfig() atpg.Config {
 	return cfg
 }
 
-// NewEnv builds the default environment over the OSU-like library.
-func NewEnv() *Env {
+// osuLibrary builds the OSU-like library and derives its DFM profile (a
+// switch-level simulation of every cell feature) once per process. Both are
+// read-only once built, so every Env shares them.
+var osuLibrary = sync.OnceValues(func() (*library.Library, *dfm.LibraryProfile) {
 	lib := library.OSU018Like()
+	return lib, dfm.ProfileLibrary(lib)
+})
+
+// NewEnv builds the default environment over the OSU-like library and its
+// profile, shared read-only with every other Env of the process.
+func NewEnv() *Env {
+	lib, prof := osuLibrary()
 	return &Env{
 		Lib:         lib,
-		Prof:        dfm.ProfileLibrary(lib),
+		Prof:        prof,
 		Mapper:      synth.NewMapper(lib),
 		ATPG:        atpg.DefaultConfig(),
 		Seed:        1,

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"sync"
 	"testing"
 
 	"dfmresyn/internal/bench"
@@ -20,6 +21,35 @@ func testEnv() *Env {
 	e.ATPG.RandomBlocks = 4
 	e.ATPG.BacktrackLimit = 2000
 	return e
+}
+
+// TestEnvsShareLibrary: every Env shares the one library and profile, and
+// two Envs analyze concurrently over them (the race detector checks that
+// sharing is read-only) with identical results.
+func TestEnvsShareLibrary(t *testing.T) {
+	a, b := testEnv(), testEnv()
+	if a.Lib != b.Lib || a.Prof != b.Prof {
+		t.Fatal("two Envs built their own library or profile")
+	}
+	var counts [2][3]int // total, detected, undetectable
+	var wg sync.WaitGroup
+	for i, env := range []*Env{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, err := env.Analyze(bench.MustBuild("wb_conmax", env.Lib), geom.Rect{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c := d.Faults.Count()
+			counts[i] = [3]int{c.Total, c.Detected, c.Undetectable}
+		}()
+	}
+	wg.Wait()
+	if counts[0] != counts[1] || counts[0][0] == 0 {
+		t.Errorf("concurrent analyses disagree: %+v vs %+v", counts[0], counts[1])
+	}
 }
 
 func TestAnalyzeEndToEnd(t *testing.T) {

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // noopWork is the exact instrumentation shape the pipeline's hot paths use:
 // a span with attrs, a counter lookup + increment, a histogram observation —
@@ -47,5 +50,15 @@ func BenchmarkActiveSpan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := Start(tr, "bench/span", Int("i", i))
 		sp.End()
+	}
+}
+
+// BenchmarkLedgerVerdict measures the flight recorder's per-record cost: one
+// verdict encoded, digested, written to io.Discard and kept in the tail ring.
+func BenchmarkLedgerVerdict(b *testing.B) {
+	l := NewLedger(io.Discard)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Verdict(LedgerRecord{Fault: i, Status: "undetectable", Tier: TierSAT, BT: 41, Conf: 2, Micros: 987})
 	}
 }

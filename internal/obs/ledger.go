@@ -21,10 +21,12 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -153,84 +155,123 @@ const (
 	recSummary = "summary"
 )
 
-// Typed encode shapes: one struct per record type so each line carries only
-// its own fields. Both the file line and the canonical digest line come from
-// encodeRecord, which is the single encoder — the digest a reader recomputes
-// from decoded records matches the writer's by construction.
-type stageJSON struct {
-	T            string     `json:"t"`
-	Stage        string     `json:"stage"`
-	Circuit      string     `json:"circuit"`
-	Gates        int        `json:"gates"`
-	Faults       int        `json:"faults"`
-	Detected     int        `json:"detected"`
-	Undetectable int        `json:"undetectable"`
-	Aborted      int        `json:"aborted"`
-	Tiers        TierCounts `json:"tiers"`
-	Searches     int64      `json:"searches"`
-	Backtracks   int64      `json:"backtracks"`
-	Conflicts    int64      `json:"conflicts"`
-	Micros       int64      `json:"us,omitempty"`
-}
-
-type verdictJSON struct {
-	T      string `json:"t"`
-	Fault  int    `json:"fault"`
-	Status string `json:"status"`
-	Tier   Tier   `json:"tier"`
-	BT     int    `json:"bt,omitempty"`
-	Conf   int64  `json:"conf,omitempty"`
-	Micros int64  `json:"us,omitempty"`
-}
-
-type iterJSON struct {
-	T     string     `json:"t"`
-	Q     int        `json:"q"`
-	Phase int        `json:"phase"`
-	Iter  int        `json:"iter"`
-	U     int        `json:"u"`
-	Smax  int        `json:"smax"`
-	F     int        `json:"f"`
-	Tiers TierCounts `json:"tiers"`
-}
-
-type summaryJSON struct {
-	T      string `json:"t"`
-	Events int    `json:"events"`
-	Digest string `json:"digest"`
-}
-
-// encodeRecord renders one record as its JSON line (no trailing newline).
-// canonical zeroes the timing field — the digest input — and is a no-op for
-// the record types that carry no timing.
-func encodeRecord(rec LedgerRecord, canonical bool) ([]byte, error) {
-	us := rec.Micros
-	if canonical {
-		us = 0
-	}
+// encodeRecord appends rec's canonical line — its JSON with the timing field
+// omitted, no trailing newline — to dst. It is the ledger's one encoder: the
+// writer's digest input, its file line (withTiming adds the timing) and a
+// reader's canonical form all come from it, so a reader recomputes the
+// writer's digest by construction. Each record type has a fixed field order,
+// and the bytes equal encoding/json's rendering of the typed record shapes
+// kept in the tests as its oracle (FuzzLedger, TestEncodeRecordMatchesJSON).
+func encodeRecord(dst []byte, rec LedgerRecord) ([]byte, error) {
 	switch rec.T {
 	case recStage:
-		return json.Marshal(stageJSON{
-			T: recStage, Stage: rec.Stage, Circuit: rec.Circuit,
-			Gates: rec.Gates, Faults: rec.Faults,
-			Detected: rec.Detected, Undetectable: rec.Undetectable, Aborted: rec.Aborted,
-			Tiers: rec.Tiers, Searches: rec.Searches, Backtracks: rec.Backtracks,
-			Conflicts: rec.Conflicts, Micros: us,
-		})
+		dst = append(dst, `{"t":"stage","stage":`...)
+		dst = appendString(dst, rec.Stage)
+		dst = append(dst, `,"circuit":`...)
+		dst = appendString(dst, rec.Circuit)
+		dst = appendInt(dst, "gates", int64(rec.Gates))
+		dst = appendInt(dst, "faults", int64(rec.Faults))
+		dst = appendInt(dst, "detected", int64(rec.Detected))
+		dst = appendInt(dst, "undetectable", int64(rec.Undetectable))
+		dst = appendInt(dst, "aborted", int64(rec.Aborted))
+		dst = appendTiers(dst, rec.Tiers)
+		dst = appendInt(dst, "searches", rec.Searches)
+		dst = appendInt(dst, "backtracks", rec.Backtracks)
+		dst = appendInt(dst, "conflicts", rec.Conflicts)
 	case recVerdict:
-		return json.Marshal(verdictJSON{
-			T: recVerdict, Fault: rec.Fault, Status: rec.Status, Tier: rec.Tier,
-			BT: rec.BT, Conf: rec.Conf, Micros: us,
-		})
+		dst = append(dst, `{"t":"verdict"`...)
+		dst = appendInt(dst, "fault", int64(rec.Fault))
+		dst = append(dst, `,"status":`...)
+		dst = appendString(dst, rec.Status)
+		dst = append(dst, `,"tier":`...)
+		dst = appendString(dst, string(rec.Tier))
+		if rec.BT != 0 {
+			dst = appendInt(dst, "bt", int64(rec.BT))
+		}
+		if rec.Conf != 0 {
+			dst = appendInt(dst, "conf", rec.Conf)
+		}
 	case recIter:
-		return json.Marshal(iterJSON{
-			T: recIter, Q: rec.Q, Phase: rec.Phase, Iter: rec.Iter,
-			U: rec.U, Smax: rec.Smax, F: rec.F, Tiers: rec.Tiers,
-		})
+		dst = append(dst, `{"t":"iter"`...)
+		dst = appendInt(dst, "q", int64(rec.Q))
+		dst = appendInt(dst, "phase", int64(rec.Phase))
+		dst = appendInt(dst, "iter", int64(rec.Iter))
+		dst = appendInt(dst, "u", int64(rec.U))
+		dst = appendInt(dst, "smax", int64(rec.Smax))
+		dst = appendInt(dst, "f", int64(rec.F))
+		dst = appendTiers(dst, rec.Tiers)
 	case recSummary:
-		return json.Marshal(summaryJSON{T: recSummary, Events: rec.Events, Digest: rec.Digest})
+		dst = append(dst, `{"t":"summary"`...)
+		dst = appendInt(dst, "events", int64(rec.Events))
+		dst = append(dst, `,"digest":`...)
+		dst = appendString(dst, rec.Digest)
+	default:
+		return dst, fmt.Errorf("obs: ledger record type %q", rec.T)
 	}
-	return nil, fmt.Errorf("obs: ledger record type %q", rec.T)
+	return append(dst, '}'), nil
+}
+
+// withTiming turns a canonical line into its file line. Stage and verdict
+// records carry timing, as their last field and only when it is nonzero, so
+// the file line is the canonical line plus `,"us":N`.
+func withTiming(line []byte, rec LedgerRecord) []byte {
+	if rec.Micros == 0 || (rec.T != recStage && rec.T != recVerdict) {
+		return line
+	}
+	line = append(line[:len(line)-1], `,"us":`...)
+	line = strconv.AppendInt(line, rec.Micros, 10)
+	return append(line, '}')
+}
+
+// appendInt appends one `,"key":v` member.
+func appendInt(dst []byte, key string, v int64) []byte {
+	dst = append(dst, ',', '"')
+	dst = append(dst, key...)
+	dst = append(dst, '"', ':')
+	return strconv.AppendInt(dst, v, 10)
+}
+
+// appendTiers appends the `,"tiers":{…}` member; zero counts are omitted.
+func appendTiers(dst []byte, t TierCounts) []byte {
+	dst = append(dst, `,"tiers":`...)
+	sep := byte('{')
+	for _, m := range [...]struct {
+		key string
+		n   int
+	}{
+		{"cache", t.Cache}, {"implic", t.Implic}, {"collateral", t.Collateral},
+		{"podem", t.Podem}, {"sat", t.SAT}, {"sat_memo", t.SATMemo},
+	} {
+		if m.n == 0 {
+			continue
+		}
+		dst = append(dst, sep, '"')
+		dst = append(dst, m.key...)
+		dst = append(dst, '"', ':')
+		dst = strconv.AppendInt(dst, int64(m.n), 10)
+		sep = ','
+	}
+	if sep == '{' {
+		dst = append(dst, sep)
+	}
+	return append(dst, '}')
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than the
+// characters encoding/json escapes — `"`, `\` and the HTML-sensitive <, >
+// and & — is copied as is. Any other string is left to encoding/json, so
+// control characters, U+2028/2029 and invalid UTF-8 encode exactly as
+// json.Marshal renders them.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ledgerTail bounds the in-memory ring of recent lines served by the /ledger
@@ -249,7 +290,9 @@ type Ledger struct {
 	err    error // first write/encode error; sticky
 	closed bool
 
-	tail []string // ring of the most recent lines, oldest first
+	buf  []byte   // the line being appended, reused across records
+	tail [][]byte // ring of the most recent lines; slots reuse their storage
+	next int      // the slot the next line overwrites once the ring is full
 	subs []chan string
 }
 
@@ -278,27 +321,31 @@ func (l *Ledger) append(rec LedgerRecord) {
 	if l == nil {
 		return
 	}
-	line, err := encodeRecord(rec, false)
-	if err != nil {
-		l.fail(err)
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.appendLocked(rec)
+}
+
+// appendLocked is append with l.mu held. The record is encoded once: the
+// canonical line feeds the digest, and the file line is that line plus the
+// record's timing.
+func (l *Ledger) appendLocked(rec LedgerRecord) {
 	if l.closed || l.err != nil {
 		return
 	}
+	line, err := encodeRecord(l.buf[:0], rec)
+	if err != nil {
+		l.err = err
+		return
+	}
 	if rec.T != recSummary {
-		canon, err := encodeRecord(rec, true)
-		if err != nil {
-			l.err = err
-			return
-		}
-		l.h.Write(canon)
-		l.h.Write([]byte{'\n'})
+		line = append(line, '\n')
+		l.h.Write(line)
+		line = line[:len(line)-1]
 		l.events++
 	}
-	if _, err := l.w.Write(append(line, '\n')); err != nil {
+	l.buf = append(withTiming(line, rec), '\n')
+	if _, err := l.w.Write(l.buf); err != nil {
 		l.err = fmt.Errorf("obs: ledger write: %w", err)
 		return
 	}
@@ -321,13 +368,17 @@ func (l *Ledger) append(rec LedgerRecord) {
 			}
 		}
 	}
-	s := string(line)
-	if len(l.tail) == ledgerTail {
-		copy(l.tail, l.tail[1:])
-		l.tail[len(l.tail)-1] = s
+	line = l.buf[:len(l.buf)-1]
+	if len(l.tail) < ledgerTail {
+		l.tail = append(l.tail, append([]byte(nil), line...))
 	} else {
-		l.tail = append(l.tail, s)
+		l.tail[l.next] = append(l.tail[l.next][:0], line...)
+		l.next = (l.next + 1) % ledgerTail
 	}
+	if len(l.subs) == 0 {
+		return
+	}
+	s := string(line)
 	for _, ch := range l.subs {
 		select {
 		case ch <- s:
@@ -336,12 +387,27 @@ func (l *Ledger) append(rec LedgerRecord) {
 	}
 }
 
-func (l *Ledger) fail(err error) {
-	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
+// SeedPrefix folds records an earlier process already wrote — the kept
+// prefix of a resumed job's ledger — into the running digest and event
+// count, so Digest, Events and the trailing summary describe the whole job
+// rather than this ledger's own records. Nothing is written, and summary
+// records are skipped, as in CanonicalLedger. It must precede the first
+// record.
+func (l *Ledger) SeedPrefix(prefix []LedgerRecord) error {
+	if l == nil {
+		return nil
 	}
-	l.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if l.events != 0 || l.closed {
+		return errors.New("obs: ledger seeded after its first record")
+	}
+	buf, n, err := foldCanonical(l.h, l.buf, prefix)
+	l.buf, l.events, l.err = buf, l.events+n, err
+	return err
 }
 
 // Stage records one analysis stage's summary. Emit it before the stage's
@@ -402,14 +468,19 @@ func (l *Ledger) Err() error {
 	return l.err
 }
 
-// Tail returns a copy of the most recent lines (the /ledger endpoint's dump).
+// Tail returns a copy of the most recent lines, oldest first (the /ledger
+// endpoint's dump).
 func (l *Ledger) Tail() []string {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.tail...)
+	var out []string
+	for i := range l.tail {
+		out = append(out, string(l.tail[(l.next+i)%len(l.tail)]))
+	}
+	return out
 }
 
 // Follow subscribes to lines appended after the call. The channel closes
@@ -454,16 +525,11 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		err := l.err
-		l.mu.Unlock()
-		return err
+		return l.err
 	}
-	digest := fmt.Sprintf("%x", l.h.Sum(nil))
-	events := l.events
-	l.mu.Unlock()
-	l.append(LedgerRecord{T: recSummary, Events: events, Digest: digest})
-	l.mu.Lock()
+	l.appendLocked(LedgerRecord{T: recSummary, Events: l.events, Digest: fmt.Sprintf("%x", l.h.Sum(nil))})
 	l.closed = true
 	if ferr := l.w.Flush(); ferr != nil && l.err == nil {
 		l.err = fmt.Errorf("obs: ledger flush: %w", ferr)
@@ -477,9 +543,7 @@ func (l *Ledger) Close() error {
 		close(ch)
 	}
 	l.subs = nil
-	err := l.err
-	l.mu.Unlock()
-	return err
+	return l.err
 }
 
 // maxLedgerLine bounds one ledger line for the decoder — far above anything
@@ -518,23 +582,21 @@ func ReadLedger(r io.Reader) ([]LedgerRecord, error) {
 }
 
 // CanonicalLedger re-encodes decoded records into the canonical byte form:
-// timings zeroed (the us fields vanish under omitempty) and summary records
-// dropped. Two ledgers are equivalent — same verdicts, same tiers, same
-// stage and iteration structure — iff their canonical forms are equal, which
-// is also exactly what the digest covers: the canonical form of a killed
-// run's ledger concatenated with its resumed continuation's equals the
-// uninterrupted run's.
+// timings dropped and summary records dropped. Two ledgers are equivalent —
+// same verdicts, same tiers, same stage and iteration structure — iff their
+// canonical forms are equal, which is also exactly what the digest covers:
+// the canonical form of a killed run's ledger concatenated with its resumed
+// continuation's equals the uninterrupted run's.
 func CanonicalLedger(recs []LedgerRecord) ([]byte, error) {
 	var out []byte
 	for _, rec := range recs {
 		if rec.T == recSummary {
 			continue
 		}
-		line, err := encodeRecord(rec, true)
-		if err != nil {
+		var err error
+		if out, err = encodeRecord(out, rec); err != nil {
 			return nil, err
 		}
-		out = append(out, line...)
 		out = append(out, '\n')
 	}
 	return out, nil
@@ -543,11 +605,31 @@ func CanonicalLedger(recs []LedgerRecord) ([]byte, error) {
 // LedgerDigest recomputes the canonical digest of decoded records — equal to
 // the writer's Digest() (and its summary record) for an unmodified ledger.
 func LedgerDigest(recs []LedgerRecord) (string, error) {
-	canon, err := CanonicalLedger(recs)
-	if err != nil {
+	h := sha256.New()
+	if _, _, err := foldCanonical(h, nil, recs); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(canon)), nil
+	return fmt.Sprintf("%x", h.Sum(nil)), nil
+}
+
+// foldCanonical feeds the canonical line of every non-summary record into h,
+// encoding through buf. It returns the grown buffer and the number of
+// records folded.
+func foldCanonical(h hash.Hash, buf []byte, recs []LedgerRecord) ([]byte, int, error) {
+	n := 0
+	for _, rec := range recs {
+		if rec.T == recSummary {
+			continue
+		}
+		var err error
+		if buf, err = encodeRecord(buf[:0], rec); err != nil {
+			return buf, n, err
+		}
+		buf = append(buf, '\n')
+		h.Write(buf)
+		n++
+	}
+	return buf, n, nil
 }
 
 // SlowSearch identifies one of a run's costliest searches: the fault, the

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -254,9 +256,240 @@ func TestTierCounts(t *testing.T) {
 	}
 }
 
-// FuzzLedger: the decoder and re-encoder never panic on arbitrary input, and
-// on inputs they accept, canonicalization is a fixed point — decoding the
-// canonical form and canonicalizing again is byte-identical.
+// The typed record shapes are the encoder's oracle: encodeRecord must render
+// every record exactly as encoding/json renders its shape, timing included
+// (withTiming) or omitted (the canonical line).
+type stageJSON struct {
+	T            string     `json:"t"`
+	Stage        string     `json:"stage"`
+	Circuit      string     `json:"circuit"`
+	Gates        int        `json:"gates"`
+	Faults       int        `json:"faults"`
+	Detected     int        `json:"detected"`
+	Undetectable int        `json:"undetectable"`
+	Aborted      int        `json:"aborted"`
+	Tiers        TierCounts `json:"tiers"`
+	Searches     int64      `json:"searches"`
+	Backtracks   int64      `json:"backtracks"`
+	Conflicts    int64      `json:"conflicts"`
+	Micros       int64      `json:"us,omitempty"`
+}
+
+type verdictJSON struct {
+	T      string `json:"t"`
+	Fault  int    `json:"fault"`
+	Status string `json:"status"`
+	Tier   Tier   `json:"tier"`
+	BT     int    `json:"bt,omitempty"`
+	Conf   int64  `json:"conf,omitempty"`
+	Micros int64  `json:"us,omitempty"`
+}
+
+type iterJSON struct {
+	T     string     `json:"t"`
+	Q     int        `json:"q"`
+	Phase int        `json:"phase"`
+	Iter  int        `json:"iter"`
+	U     int        `json:"u"`
+	Smax  int        `json:"smax"`
+	F     int        `json:"f"`
+	Tiers TierCounts `json:"tiers"`
+}
+
+type summaryJSON struct {
+	T      string `json:"t"`
+	Events int    `json:"events"`
+	Digest string `json:"digest"`
+}
+
+// marshalShape renders rec through its typed shape with the given timing.
+func marshalShape(t *testing.T, rec LedgerRecord, us int64) []byte {
+	t.Helper()
+	var shape any
+	switch rec.T {
+	case recStage:
+		shape = stageJSON{
+			T: recStage, Stage: rec.Stage, Circuit: rec.Circuit,
+			Gates: rec.Gates, Faults: rec.Faults,
+			Detected: rec.Detected, Undetectable: rec.Undetectable, Aborted: rec.Aborted,
+			Tiers: rec.Tiers, Searches: rec.Searches, Backtracks: rec.Backtracks,
+			Conflicts: rec.Conflicts, Micros: us,
+		}
+	case recVerdict:
+		shape = verdictJSON{
+			T: recVerdict, Fault: rec.Fault, Status: rec.Status, Tier: rec.Tier,
+			BT: rec.BT, Conf: rec.Conf, Micros: us,
+		}
+	case recIter:
+		shape = iterJSON{
+			T: recIter, Q: rec.Q, Phase: rec.Phase, Iter: rec.Iter,
+			U: rec.U, Smax: rec.Smax, F: rec.F, Tiers: rec.Tiers,
+		}
+	case recSummary:
+		shape = summaryJSON{T: recSummary, Events: rec.Events, Digest: rec.Digest}
+	default:
+		t.Fatalf("no shape for record type %q", rec.T)
+	}
+	b, err := json.Marshal(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkEncoding asserts that rec's canonical and timed lines equal the
+// json.Marshal oracle byte for byte.
+func checkEncoding(t *testing.T, rec LedgerRecord) {
+	t.Helper()
+	canon, err := encodeRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := marshalShape(t, rec, 0); !bytes.Equal(canon, want) {
+		t.Fatalf("canonical line\n got %s\nwant %s", canon, want)
+	}
+	timed := withTiming(canon, rec)
+	if want := marshalShape(t, rec, rec.Micros); !bytes.Equal(timed, want) {
+		t.Fatalf("timed line\n got %s\nwant %s", timed, want)
+	}
+}
+
+// escapeStrings need every escape encoding/json applies: quotes and
+// backslashes, HTML-sensitive characters, control characters, DEL,
+// non-ASCII, the JavaScript line separators, invalid UTF-8 and a lone
+// surrogate's bytes.
+var escapeStrings = []string{
+	"", "plain", `q"uote`, `back\slash`, "<a&b>", "\x00\x01\b\f\n\r\t\x1f", "del\x7f",
+	"ü→😀", "ls\u2028ps\u2029", "bad\xff\xfe", "\xed\xa0\x80", "end\\",
+}
+
+func TestEncodeRecordMatchesJSON(t *testing.T) {
+	ints := []int64{0, 1, -1, 1 << 40, -1 << 40, 1<<63 - 1, -1 << 63}
+	for i, s := range escapeStrings {
+		n := ints[i%len(ints)]
+		tiers := TierCounts{Cache: int(n), SATMemo: i, Podem: -i}
+		for _, rec := range []LedgerRecord{
+			{T: recStage, Stage: s, Circuit: s, Gates: int(n), Faults: i, Detected: -i,
+				Undetectable: int(n), Aborted: i, Tiers: tiers, Searches: n, Backtracks: -n,
+				Conflicts: n, Micros: n},
+			{T: recVerdict, Fault: int(n), Status: s, Tier: Tier(s), BT: i, Conf: n, Micros: -n},
+			{T: recVerdict, Fault: i, Status: s, Tier: TierPodem},
+			{T: recIter, Q: int(n), Phase: i, Iter: -i, U: int(n), Smax: i, F: int(-n), Tiers: tiers, Micros: n},
+			{T: recIter},
+			{T: recSummary, Events: int(n), Digest: s},
+		} {
+			checkEncoding(t, rec)
+		}
+	}
+	if _, err := encodeRecord(nil, LedgerRecord{T: "wormhole"}); err == nil {
+		t.Error("unknown record type encoded")
+	}
+}
+
+// failWriter accepts limit bytes, then fails every write.
+type failWriter struct{ n, limit int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.n+len(p) > w.limit {
+		return 0, errDiskFull
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestLedgerWriteErrorSticky: a ledger whose writer fails reports the first
+// write error from Err and Close, keeps reporting it, and stops recording.
+func TestLedgerWriteErrorSticky(t *testing.T) {
+	l := NewLedger(&failWriter{limit: 1000})
+	for i := 0; l.Err() == nil; i++ {
+		if i == 1000 {
+			t.Fatal("1000 verdicts into a 1000-byte writer raised no error")
+		}
+		l.Verdict(LedgerRecord{Fault: i, Status: "detected", Tier: TierCollateral})
+	}
+	first := l.Err()
+	if !errors.Is(first, errDiskFull) {
+		t.Fatalf("Err() = %v, want the writer's error", first)
+	}
+	events := l.Events()
+	l.Iter(LedgerRecord{Q: 1})
+	if l.Events() != events {
+		t.Error("a failed ledger kept recording")
+	}
+	if err := l.Close(); err != first {
+		t.Errorf("Close() = %v, want the first error %v", err, first)
+	}
+	if err := l.Close(); err != first {
+		t.Errorf("second Close() = %v, want %v", err, first)
+	}
+	if err := l.Err(); err != first {
+		t.Errorf("Err() after Close = %v, want %v", err, first)
+	}
+
+	// A writer that fails outright surfaces at Close's flush.
+	l = NewLedger(&failWriter{})
+	recordFixture(l)
+	if err := l.Close(); !errors.Is(err, errDiskFull) || l.Err() != err {
+		t.Errorf("Close() = %v, Err() = %v, want the writer's error from both", err, l.Err())
+	}
+}
+
+// TestSeedPrefix: a ledger seeded with a prefix's records reports the
+// digest and event count of prefix plus its own records — the whole job —
+// in Digest, Events and its trailing summary, and writes only its own.
+func TestSeedPrefix(t *testing.T) {
+	var whole, first, rest bytes.Buffer
+	lw := NewLedger(&whole)
+	recordFixture(lw)
+	recordFixture(lw)
+	lw.Close()
+
+	l1 := NewLedger(&first)
+	recordFixture(l1)
+	l1.Close()
+	prefix, err := ReadLedger(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := NewLedger(&rest)
+	if err := l2.SeedPrefix(prefix); err != nil {
+		t.Fatal(err)
+	}
+	recordFixture(l2)
+	if l2.Digest() != lw.Digest() || l2.Events() != lw.Events() {
+		t.Errorf("seeded ledger: %d events %s, whole run: %d events %s",
+			l2.Events(), l2.Digest(), lw.Events(), lw.Digest())
+	}
+	if err := l2.SeedPrefix(prefix); err == nil {
+		t.Error("seeding after the first record succeeded")
+	}
+	l2.Close()
+	recs, err := ReadLedger(bytes.NewReader(rest.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 {
+		t.Fatalf("seeded ledger wrote %d records, want its own 4 + summary", len(recs))
+	}
+	// The prefix without its summary, then the seeded ledger, verifies
+	// itself against its last summary.
+	stitched := append(prefix[:len(prefix)-1:len(prefix)-1], recs...)
+	d, err := LedgerDigest(stitched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := stitched[len(stitched)-1]; last.Digest != d || last.Events != 8 || d != lw.Digest() {
+		t.Errorf("stitched summary %+v, recomputed digest %s, whole-run digest %s", last, d, lw.Digest())
+	}
+}
+
+// FuzzLedger: the decoder and re-encoder never panic on arbitrary input;
+// every record they accept encodes, canonical and timed, exactly as
+// json.Marshal renders its typed shape; the writer's digest equals a
+// reader's; and canonicalization is a fixed point — decoding the canonical
+// form and canonicalizing again is byte-identical.
 func FuzzLedger(f *testing.F) {
 	var seed bytes.Buffer
 	l := NewLedger(&seed)
@@ -266,10 +499,35 @@ func FuzzLedger(f *testing.F) {
 	f.Add([]byte(`{"t":"verdict","fault":0,"status":"detected","tier":"cache"}`))
 	f.Add([]byte(`{"t":"stage"}` + "\n" + `{"t":"summary","events":1,"digest":"xyz"}`))
 	f.Add([]byte("\x00\xff"))
+	for _, s := range escapeStrings {
+		q, _ := json.Marshal(s)
+		f.Add([]byte(fmt.Sprintf(`{"t":"stage","stage":%s,"circuit":%s,"gates":-7,"faults":9223372036854775807,"tiers":{"sat_memo":-1},"searches":-9223372036854775808,"us":-3}`, q, q)))
+		f.Add([]byte(fmt.Sprintf(`{"t":"verdict","fault":-1,"status":%s,"tier":%s,"bt":1099511627776,"conf":-2,"us":9007199254740993}`, q, q)))
+		f.Add([]byte(fmt.Sprintf(`{"t":"summary","events":-5,"digest":%s}`, q)))
+	}
+	f.Add([]byte("{\"t\":\"verdict\",\"status\":\"raw\xff\x01\",\"tier\":\"\xe2\x80\xa8\"}"))
+	f.Add([]byte(`{"t":"iter","q":-1,"phase":2147483648,"iter":3,"u":-4,"smax":5,"f":6,"tiers":{"cache":1,"podem":-2},"us":7}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadLedger(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		var file bytes.Buffer
+		w := NewLedger(&file)
+		for _, rec := range recs {
+			checkEncoding(t, rec)
+			w.append(rec)
+		}
+		// The writer's file lines are the oracle's timed lines.
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, rec := range recs {
+			want = append(append(want, marshalShape(t, rec, rec.Micros)...), '\n')
+		}
+		if !bytes.Equal(file.Bytes(), want) {
+			t.Fatalf("writer lines\n%s\nwant\n%s", file.Bytes(), want)
 		}
 		canon, err := CanonicalLedger(recs)
 		if err != nil {
@@ -290,6 +548,9 @@ func FuzzLedger(f *testing.F) {
 		d2, _ := LedgerDigest(again)
 		if d1 != d2 {
 			t.Fatalf("digest not stable across canonicalization: %s vs %s", d1, d2)
+		}
+		if wd := w.Digest(); wd != d1 {
+			t.Fatalf("writer digest %s != reader digest %s", wd, d1)
 		}
 	})
 }

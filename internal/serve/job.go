@@ -108,8 +108,9 @@ type JobResult struct {
 	Cov     float64 `json:"cov"`
 	Commits int     `json:"commits"`
 	// LedgerDigest / LedgerEvents cover the job's on-disk provenance
-	// ledger, all segments stitched: byte-identical for an uninterrupted
-	// run and a kill/restart/resume of the same spec.
+	// ledger, all segments stitched, and equal its last summary record:
+	// byte-identical for an uninterrupted run and a kill/restart/resume of
+	// the same spec.
 	LedgerDigest string `json:"ledgerDigest"`
 	LedgerEvents int    `json:"ledgerEvents"`
 	// Resumed / ReplayedCommits report crash recovery; Prewarmed /
@@ -281,13 +282,14 @@ func readLedgerLines(path string) (lines []string, recs []obs.LedgerRecord) {
 // the records up to and including the k-th iter record (the commit the
 // checkpoint describes) and deletes everything after — later records belong
 // to analyses the resumed continuation re-runs and re-emits, so keeping
-// them would duplicate. Returns the next segment ordinal to append under,
-// or ok=false when the segments do not contain k iter records (an
-// inconsistent pair — the caller falls back to a fresh run, which is always
-// correct and only loses work). The ledger's iter-record fsync barrier
-// makes the inconsistent case unreachable for a real kill: the k-th iter
-// record is durable before the checkpoint naming it can land.
-func (s *Server) prepareResumeLedger(id string, k int) (nextSeg int, ok bool) {
+// them would duplicate. Returns the kept records, which seed the next
+// segment's digest, and the next segment ordinal to append under, or
+// ok=false when the segments do not contain k iter records (an inconsistent
+// pair — the caller falls back to a fresh run, which is always correct and
+// only loses work). The ledger's iter-record fsync barrier makes the
+// inconsistent case unreachable for a real kill: the k-th iter record is
+// durable before the checkpoint naming it can land.
+func (s *Server) prepareResumeLedger(id string, k int) (nextSeg int, kept []obs.LedgerRecord, ok bool) {
 	segs := s.ledgerSegments(id)
 	iters := 0
 	for si, path := range segs {
@@ -306,15 +308,16 @@ func (s *Server) prepareResumeLedger(id string, k int) (nextSeg int, ok bool) {
 				b.WriteByte('\n')
 			}
 			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-				return 0, false
+				return 0, nil, false
 			}
 			for _, later := range segs[si+1:] {
 				os.Remove(later)
 			}
-			return segOrdinal(path) + 1, true
+			return segOrdinal(path) + 1, append(kept, recs[:li+1]...), true
 		}
+		kept = append(kept, recs...)
 	}
-	return 0, false
+	return 0, nil, false
 }
 
 // removeJobArtifacts deletes a job's checkpoint and ledger segments (the
@@ -324,27 +327,6 @@ func (s *Server) removeJobArtifacts(id string) {
 	for _, seg := range s.ledgerSegments(id) {
 		os.Remove(seg)
 	}
-}
-
-// collectLedger stitches a finished job's ledger segments into one record
-// stream and returns the canonical digest and digested-event count — the
-// cross-run identity the acceptance tests compare.
-func (s *Server) collectLedger(id string) (digest string, events int, err error) {
-	var all []obs.LedgerRecord
-	for _, path := range s.ledgerSegments(id) {
-		_, recs := readLedgerLines(path)
-		for _, rec := range recs {
-			if rec.T == "summary" {
-				continue
-			}
-			all = append(all, rec)
-		}
-	}
-	d, err := obs.LedgerDigest(all)
-	if err != nil {
-		return "", 0, err
-	}
-	return d, len(all), nil
 }
 
 // runSpec executes a job's sweep — fresh, or resumed from its checkpoint —
@@ -376,9 +358,10 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	ck, ckErr := resyn.LoadCheckpoint(ckpt)
 	resumed := ckErr == nil
 	nextSeg := 1
+	var kept []obs.LedgerRecord
 	if resumed {
 		var ok bool
-		nextSeg, ok = s.prepareResumeLedger(j.ID, len(ck.Commits))
+		nextSeg, kept, ok = s.prepareResumeLedger(j.ID, len(ck.Commits))
 		if !ok {
 			// Checkpoint and ledger disagree (or the ledger is gone):
 			// discard both and rerun from scratch — correct, just slower.
@@ -407,11 +390,18 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	// prewarming from the since-grown store instead would change tier
 	// attribution and break ledger-digest identity with the killed run.
 
+	// The job's digest and event count come from its ledger writer. A
+	// resumed segment is seeded with the kept prefix, so its running
+	// digest, and the summary Close writes, cover the whole job.
 	var ledger *obs.Ledger
-	attach := func(n int) error {
+	attach := func(n int, prefix []obs.LedgerRecord) error {
 		l, cerr := obs.CreateLedger(s.ledgerSegPath(j.ID, n))
 		if cerr != nil {
 			return cerr
+		}
+		if serr := l.SeedPrefix(prefix); serr != nil {
+			l.Close()
+			return serr
 		}
 		ledger = l
 		env.Ledger = l
@@ -420,20 +410,25 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 		j.mu.Unlock()
 		return nil
 	}
-	detach := func() {
+	// detach closes the ledger and returns its sticky error: a ledger that
+	// could not be written fails the job rather than report a digest of
+	// records that never reached disk.
+	detach := func() error {
 		j.mu.Lock()
 		j.ledger = nil
 		j.mu.Unlock()
-		if ledger != nil {
-			ledger.Close()
-			ledger = nil
+		if ledger == nil {
+			return nil
 		}
+		err := ledger.Close()
+		ledger = nil
+		return err
 	}
 	defer detach()
 
 	if !resumed {
 		// Fresh: the original analysis is part of the job's ledger.
-		if err := attach(1); err != nil {
+		if err := attach(1, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -447,9 +442,10 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 
 	var res *resyn.Result
 	if resumed {
-		if err := attach(nextSeg); err != nil {
+		if err := attach(nextSeg, kept); err != nil {
 			return nil, err
 		}
+		kept = nil // folded into the digest; free it for the sweep
 		// A re-admitted job runs to completion: StopAfterCommits already
 		// fired once (or the process died); carrying it into the
 		// continuation would re-interrupt immediately, since the replayed
@@ -463,13 +459,12 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 		return nil, err
 	}
 
-	// Success: close the ledger (durable summary) before digesting from
-	// disk, publish this job's verdicts to the shared store, then drop the
-	// checkpoint — the job is terminal, nothing will resume it.
-	detach()
-	digest, events, derr := s.collectLedger(j.ID)
-	if derr != nil {
-		return nil, fmt.Errorf("serve: stitching ledger: %w", derr)
+	// Success: close the ledger (durable summary), publish this job's
+	// verdicts to the shared store, then drop the checkpoint — the job is
+	// terminal, nothing will resume it.
+	digest, events := ledger.Digest(), ledger.Events()
+	if err := detach(); err != nil {
+		return nil, fmt.Errorf("serve: ledger: %w", err)
 	}
 	if added, merr := s.store.Merge(cache.Export()); merr != nil {
 		// The job's own result is sound; a store append failure only

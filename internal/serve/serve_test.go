@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dfmresyn/internal/obs"
 )
 
 // testSpec is the suite's workhorse: sparc_spu is the fastest benchmark
@@ -123,6 +125,7 @@ func TestLifecycleDigestIdentity(t *testing.T) {
 	if rv.Result.LedgerDigest != golden {
 		t.Errorf("resumed digest %s != uninterrupted %s", rv.Result.LedgerDigest, golden)
 	}
+	checkStitchedLedger(t, s2, rv)
 	if _, err := os.Stat(s2.ckptPath(j.ID)); !os.IsNotExist(err) {
 		t.Error("completed job left its checkpoint behind")
 	}
@@ -147,6 +150,38 @@ func TestLifecycleDigestIdentity(t *testing.T) {
 	}
 	if rv4.Result.LedgerDigest != golden {
 		t.Errorf("recovered digest %s != uninterrupted %s", rv4.Result.LedgerDigest, golden)
+	}
+	checkStitchedLedger(t, s4, rv4)
+}
+
+// checkStitchedLedger decodes the concatenated segments GET
+// /jobs/{id}/ledger serves for a finished job and asserts the stream
+// verifies itself: the digest recomputed from its records equals its last
+// summary's and the job's reported digest.
+func checkStitchedLedger(t *testing.T, s *Server, v JobView) {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/"+v.ID+"/ledger", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET ledger = %d", w.Code)
+	}
+	recs, err := obs.ReadLedger(w.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := recs[len(recs)-1]
+	if last.T != "summary" {
+		t.Fatalf("stitched ledger ends in a %q record, not a summary", last.T)
+	}
+	d, err := obs.LedgerDigest(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != last.Digest || d != v.Result.LedgerDigest {
+		t.Errorf("stitched ledger digest %s, last summary %s, job %s", d, last.Digest, v.Result.LedgerDigest)
+	}
+	if last.Events != v.Result.LedgerEvents {
+		t.Errorf("last summary counts %d events, job %d", last.Events, v.Result.LedgerEvents)
 	}
 }
 
