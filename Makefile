@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench benchflow bench-smoke fuzz obs-smoke chaos-smoke sat-smoke obsdiff-smoke serve-smoke
+.PHONY: check fmt vet build test race lint bench benchflow bench-smoke perfbench-smoke fuzz obs-smoke chaos-smoke sat-smoke obsdiff-smoke serve-smoke
 
-check: fmt vet build test race lint benchflow bench-smoke obs-smoke chaos-smoke sat-smoke obsdiff-smoke serve-smoke
+check: fmt vet build test race lint benchflow bench-smoke perfbench-smoke obs-smoke chaos-smoke sat-smoke obsdiff-smoke serve-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -81,6 +81,13 @@ bench-smoke:
 		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic|BenchmarkLedgerVerdict' \
 		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
 		./internal/faultsim/ ./internal/atpg/ ./internal/implic/ ./internal/obs/
+
+# The benchmark harness is a nested module (perfbench/go.mod replaces
+# dfmresyn with ../), so the root ./... builds and vets never compile it.
+# Vet and test it here, so that an API change that breaks the benchmark
+# fails `make check` instead of the next benchmark run (~10 s).
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end smoke test of the observability exports: run the CLI on the
 # fastest benchmark with tracing on, then validate both files with obscheck

@@ -17,7 +17,6 @@ import (
 	"dfmresyn/internal/fcache"
 	"dfmresyn/internal/flow"
 	"dfmresyn/internal/geom"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/obs"
 	"dfmresyn/internal/par"
 	"dfmresyn/internal/verilog"
@@ -35,7 +34,7 @@ type benchFlowRow struct {
 	CacheHitRate   float64 `json:"warm_cache_hit_rate"`
 	// Backtrack tail of the static implication screen: the cold run
 	// above has the screen on (the flow default); a second cold run
-	// with -staticproof=off supplies the baseline. Avoided searches are
+	// with the screen off supplies the baseline. Avoided searches are
 	// the faults the screen proved undetectable with zero PODEM work;
 	// the backtrack columns record the search tail that disappears with
 	// them (undetectable faults are exactly the ones that burn a full
@@ -156,7 +155,7 @@ func TestBenchFlowJSON(t *testing.T) {
 		// Baseline cold run with the static screen off, in its own env
 		// and registry so nothing is shared with the screen-on run.
 		envOff := flow.NewEnv()
-		envOff.StaticProof = implic.ModeOff
+		envOff.ATPG.Static = false
 		envOff.Obs = obs.New()
 		if _, err := envOff.Analyze(bench.MustBuild(name, envOff.Lib), geom.Rect{}); err != nil {
 			t.Fatalf("%s screen-off baseline: %v", name, err)

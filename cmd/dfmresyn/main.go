@@ -40,7 +40,6 @@ import (
 	"dfmresyn/internal/chaos"
 	"dfmresyn/internal/flow"
 	"dfmresyn/internal/geom"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/lint"
 	"dfmresyn/internal/netlist"
 	"dfmresyn/internal/obs"
@@ -63,7 +62,6 @@ var (
 	seed       = flag.Int64("seed", 1, "random seed for the whole flow")
 	workers    = flag.Int("workers", 0, "fault-classification worker pool size (0 = NumCPU); any value gives identical tables")
 	lintMode   = flag.String("lint", "off", "static-analysis enforcement: off, warn, or strict (strict exits 2 on findings)")
-	staticPf   = flag.String("staticproof", "screen", "static implication screen: off or screen (prove undetectable faults with zero searches; tables byte-identical to off)")
 	dieSpec    = flag.String("die", "", "place into a fixed WxH die instead of the auto floorplan (e.g. 64x64); a circuit that does not fit exits 3")
 	fromVlog   = flag.String("fromverilog", "", "analyze a structural Verilog netlist file (as written by the flow's own writer) instead of a built-in circuit")
 	journal    = flag.String("journal", "", "checkpoint the sweep to this journal after every accepted iteration (resume with -resume)")
@@ -169,10 +167,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	smode, err := implic.ParseMode(*staticPf)
-	if err != nil {
-		return fmt.Errorf("bad -staticproof mode %q (off, screen)", *staticPf)
-	}
 	var die geom.Rect
 	if *dieSpec != "" {
 		if die, err = parseDie(*dieSpec); err != nil {
@@ -259,7 +253,6 @@ func run() (err error) {
 	env.Ctx = ctx
 	env.StageTimeout = *deadline
 	env.Lint = lmode
-	env.StaticProof = smode
 	env.Ledger = ledger
 	if *chaosRate > 0 {
 		env.ATPG.InjectPanic = chaos.Panics(*seed, *chaosRate)
@@ -350,13 +343,9 @@ func run() (err error) {
 		if *table2 {
 			fmt.Println(report.TableIIOrigRow(name, r.Orig.Metrics()))
 			fmt.Println(report.TableIIResynRow(r, rtime))
-			staticProven := -1 // render "static off"
-			if smode != implic.ModeOff {
-				staticProven = orig.Result.StaticProven + r.StaticProven
-			}
 			fmt.Println(report.PerfRow(name, par.Count(*workers),
 				r.ATPGTime.Seconds(), r.Cache.HitRate(),
-				int(r.Cache.Lookups), r.Cache.Entries, staticProven,
+				int(r.Cache.Lookups), r.Cache.Entries, orig.Result.StaticProven+r.StaticProven,
 				r.Final.Metrics().Aborted, orig.Result.SATEscalations+r.SATEscalations,
 				orig.Result.SATConflicts+r.SATConflicts))
 			// Provenance breakdown: the baseline analysis (cacheless) and

@@ -99,10 +99,9 @@ func TestExitCodes(t *testing.T) {
 // deterministicRows strips the configuration-sensitive output from a
 // -table2 -trace run: it drops the perf diagnostics (cache activity
 // legitimately differs between a golden run and a replayed one), drops the
-// prov rows (tier attribution shifts when a tier
-// is reconfigured, e.g. -staticproof=off; the dedicated ledger tests pin
-// prov invariance across workers/resume/chaos), and blanks the Rtime column
-// of the resyn row.
+// prov rows (tier attribution shifts when a tier is reconfigured; the
+// dedicated ledger tests pin prov invariance across workers/resume/chaos),
+// and blanks the Rtime column of the resyn row.
 func deterministicRows(t *testing.T, stdout string) string {
 	t.Helper()
 	var keep []string
@@ -206,12 +205,16 @@ func TestSigintGraceful(t *testing.T) {
 
 // TestChaosFlagKeepsStdout: -chaospanic injects recoverable worker panics;
 // stdout must stay byte-identical to the clean run (modulo wall time) while
-// stderr's resilience row reports the recoveries.
+// stderr's resilience row reports the recoveries. The clean run's perf row
+// reports the static screen's yield, since the screen is always on.
 func TestChaosFlagKeepsStdout(t *testing.T) {
 	base := []string{"-table2", "-trace", "-circuit", "sparc_spu"}
 	cleanOut, _, code := runCLI(t, base...)
 	if code != 0 {
 		t.Fatalf("clean run exited %d", code)
+	}
+	if !strings.Contains(cleanOut, "proved/0-search") {
+		t.Errorf("default run should report the static screen's yield; stdout:\n%s", cleanOut)
 	}
 	chaosOut, stderr, code := runCLI(t, append(base, "-chaospanic", "0.05")...)
 	if code != 0 {
@@ -222,42 +225,6 @@ func TestChaosFlagKeepsStdout(t *testing.T) {
 	}
 	if got, want := deterministicRows(t, chaosOut), deterministicRows(t, cleanOut); got != want {
 		t.Errorf("chaos changed stdout\n--- clean:\n%s\n--- chaos:\n%s", want, got)
-	}
-}
-
-// TestStaticProofFlag: bad values are usage errors; off and screen both
-// run; screen (the default) and off print byte-identical deterministic
-// rows — the screen only removes searches that were going to prove a
-// negative, never a verdict or a test vector.
-func TestStaticProofFlag(t *testing.T) {
-	for _, bad := range []string{"bogus", "seed"} {
-		_, stderr, code := runCLI(t, "-table2", "-circuit", "sparc_spu", "-staticproof", bad)
-		if code != 1 {
-			t.Fatalf("-staticproof=%s exited %d, want 1\nstderr:\n%s", bad, code, stderr)
-		}
-		if !strings.Contains(stderr, "staticproof") {
-			t.Errorf("usage error should name the flag; stderr:\n%s", stderr)
-		}
-	}
-
-	base := []string{"-table2", "-trace", "-circuit", "sparc_spu"}
-	offOut, _, code := runCLI(t, append(base, "-staticproof", "off")...)
-	if code != 0 {
-		t.Fatalf("-staticproof=off exited %d", code)
-	}
-	defOut, _, code := runCLI(t, base...)
-	if code != 0 {
-		t.Fatalf("default run exited %d", code)
-	}
-	if got, want := deterministicRows(t, defOut), deterministicRows(t, offOut); got != want {
-		t.Errorf("default (screen) rows differ from -staticproof=off:\n--- screen ---\n%s\n--- off ---\n%s", got, want)
-	}
-	// The perf row reports the screen's yield when on, and "off" when off.
-	if !strings.Contains(defOut, "proved/0-search") {
-		t.Errorf("screen run should report its static yield; stdout:\n%s", defOut)
-	}
-	if !strings.Contains(offOut, "static off") {
-		t.Errorf("off run should report the screen disabled; stdout:\n%s", offOut)
 	}
 }
 

@@ -56,14 +56,15 @@ type Config struct {
 	// cancelled run is always a consistent prefix of the engine's merge
 	// sequence. A nil Ctx never cancels.
 	Ctx context.Context
-	// Static selects the static implication screen (implic.Mode). Off
-	// disables it; Screen builds the implication closure once per run and
-	// classifies statically-proven undetectable faults before any PODEM
-	// search, leaving every table byte-identical to an unscreened run. The
-	// screen is applied atomically at the implication-closure boundary: a
-	// cancellation observed before it skips it entirely, so a cancelled run
-	// never carries partial static verdicts.
-	Static implic.Mode
+	// Static enables the static implication screen: it builds the
+	// implication closure once per run and classifies statically-proven
+	// undetectable faults before any PODEM search, leaving every table
+	// byte-identical to an unscreened run. The screen is applied atomically
+	// at the implication-closure boundary: a cancellation observed before it
+	// skips it entirely, so a cancelled run never carries partial static
+	// verdicts. DefaultConfig turns it on; tests turn it off to check that
+	// it changes no table.
+	Static bool
 	// InjectPanic, when non-nil, is the chaos hook: it is consulted before
 	// every PODEM search with the fault's ID and the attempt number (0 for
 	// the first search, 1 for the post-panic retry) and a true return
@@ -101,14 +102,14 @@ type Config struct {
 const DefaultBacktrackLimit = 1000
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// PODEM under DefaultBacktrackLimit, with the SAT tier behind it. Both tiers
-// are complete, so the limit only decides which one settles a fault, never
-// its verdict. Most searches end well inside the budget; the rare hard ones
-// past it (redundancy proofs that would exhaust the value space of a wide
-// reconvergent cone) go to the CDCL solver, which settles them far faster
-// than more backtracking would.
+// the static screen, then PODEM under DefaultBacktrackLimit, with the SAT
+// tier behind it. Both search tiers are complete, so the limit only decides
+// which one settles a fault, never its verdict. Most searches end well
+// inside the budget; the rare hard ones past it (redundancy proofs that
+// would exhaust the value space of a wide reconvergent cone) go to the CDCL
+// solver, which settles them far faster than more backtracking would.
 func DefaultConfig() Config {
-	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1, SATEscalate: true}
+	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1, Static: true, SATEscalate: true}
 }
 
 // Result summarizes a test-generation run.
@@ -124,8 +125,8 @@ type Result struct {
 	CacheLookups int
 	CacheHits    int
 	// StaticProven counts the faults the static implication screen
-	// classified Undetectable with zero PODEM searches (Config.Static
-	// screen). They are included in Undetectable.
+	// classified Undetectable with zero PODEM searches (Config.Static).
+	// They are included in Undetectable.
 	StaticProven int
 	// SATEscalations counts the faults the CDCL tier resolved after their
 	// PODEM search exhausted the backtrack limit (Config.SATEscalate);
@@ -341,7 +342,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	// phase is skipped when cancellation is already observed — it either
 	// contributes every verdict the closure supports or none, never a
 	// partial set.
-	if cfg.Static != implic.ModeOff && !resilience.Done(ctx) {
+	if cfg.Static && !resilience.Done(ctx) {
 		anyUntried := false
 		for _, f := range l.Faults {
 			if f.Status == fault.Untried {

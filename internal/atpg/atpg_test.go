@@ -19,7 +19,7 @@ func gen(t *testing.T, c *netlist.Circuit, f *fault.Fault, limit int) (SearchOut
 	order := c.Levelize()
 	levels := c.Levels()
 	rng := rand.New(rand.NewSource(9))
-	return GenerateOne(c, order, levels, f, limit, rng)
+	return NewGenerator(c, order, levels, limit).Generate(f, rng)
 }
 
 // buildMux: y = NAND(NAND(a, ~s), NAND(b, s)) — a 2:1 mux.

@@ -79,7 +79,7 @@ func crossCheck(t *testing.T, c *netlist.Circuit, f *fault.Fault, tests []faults
 	brute := bruteDetectable(eng, f, tests)
 	order := c.Levelize()
 	levels := c.Levels()
-	out, tv := GenerateOne(c, order, levels, f, 200000, rand.New(rand.NewSource(5)))
+	out, tv := NewGenerator(c, order, levels, 200000).Generate(f, rand.New(rand.NewSource(5)))
 	switch out {
 	case FoundTest:
 		if !brute {

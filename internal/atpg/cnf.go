@@ -2,8 +2,9 @@
 // fault (LimitExceeded), the fault's support/output cone is Tseitin-encoded
 // into CNF and handed to the deterministic CDCL solver in internal/sat for a
 // definitive verdict — FoundTest with a witness vector, or ProvenImpossible.
-// The encoding mirrors podem.go's injection semantics model by model, so the
-// escalator answers exactly the question the search was asking.
+// Like PODEM, the escalator solves the fault's detection targets
+// (fault.Targets) in order, so it answers exactly the questions the search
+// was asking.
 //
 // Encoding sketch. Two copies of the relevant circuit slice share variables
 // outside the fault-effect cone:
@@ -16,12 +17,11 @@
 //   - faulty variables cover only the cone (the fault site and its
 //     transitive fanout); outside the cone faulty equals good, so cone gates
 //     read side inputs directly from the good variables.
-//   - the site's faulty value carries the injection: a stem stuck-at is a
-//     unit clause, a fanout-branch fault re-evaluates its gate with the
+//   - the site's faulty value carries the target's effect: a stem stuck-at
+//     is a unit clause, a fanout-branch fault re-evaluates its gate with the
 //     branch pin pinned, a bridge equates the victim's faulty value with the
-//     aggressor's good value, and a cell-aware host complements its output
-//     (its activation condition is imposed as unit clauses, exactly like
-//     PODEM's excitation conditions).
+//     aggressor's good value, and a cell-aware host complements its output.
+//     The target's conditions are unit clauses on good values.
 //   - one difference variable per cone primary output is constrained to
 //     imply good != faulty there, and the detection clause demands at least
 //     one difference. A cone that reaches no primary output is undetectable
@@ -29,6 +29,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"dfmresyn/internal/fault"
@@ -68,119 +69,28 @@ func NewEscalator(c *netlist.Circuit) *Escalator {
 // scheduling.
 func (e *Escalator) Resolve(f *fault.Fault, rng *rand.Rand) (SearchOutcome, *TestVec, SATStats) {
 	st := SATStats{}
-	switch f.Model {
-	case fault.StuckAt:
-		if vec, ok := e.solveStuckAt(f, &st, rng); ok {
+	var it fault.Targets
+	it.Reset(f)
+	for it.Next() {
+		t := it.Target()
+		vec, ok := e.solveDetect(t, &st, rng)
+		if !ok {
+			continue
+		}
+		if t.Inits == 0 {
 			return FoundTest, &TestVec{Vec: vec}, st
 		}
-		return ProvenImpossible, nil, st
-
-	case fault.Transition:
-		// Launch: detect stuck-at-Value at the site; init: justify Value.
-		launch := &fault.Fault{Model: fault.StuckAt, Net: f.Net,
-			BranchGate: f.BranchGate, BranchPin: f.BranchPin, Value: f.Value}
-		vec, ok := e.solveStuckAt(launch, &st, rng)
-		if !ok {
-			return ProvenImpossible, nil, st
-		}
-		init, ok2 := e.solveJustify([]condition{{net: f.Net, val: f.Value}}, &st, rng)
-		if !ok2 {
-			return ProvenImpossible, nil, st
-		}
-		return FoundTest, &TestVec{Init: init, Vec: vec}, st
-
-	case fault.Bridge:
-		for _, va := range []uint8{1, 0} {
-			inj := injection{bridgeVictim: f.Net, bridgeSrc: f.Other}
-			conds := []condition{
-				{net: f.Net, val: va},
-				{net: f.Other, val: va ^ 1},
-			}
-			if vec, ok := e.solveDetect(inj, conds, &st, rng); ok {
-				return FoundTest, &TestVec{Vec: vec}, st
+		for m := t.Inits; m != 0; m &= m - 1 {
+			if init, ok := e.solveJustify(t.InitConds(nil, uint(bits.TrailingZeros64(m))), &st, rng); ok {
+				return FoundTest, &TestVec{Init: init, Vec: vec}, st
 			}
 		}
-		return ProvenImpossible, nil, st
-
-	case fault.CellAware:
-		return e.resolveCellAware(f, &st, rng)
 	}
 	return ProvenImpossible, nil, st
 }
 
-// solveStuckAt encodes a stem or fanout-branch stuck-at detection instance.
-func (e *Escalator) solveStuckAt(f *fault.Fault, st *SATStats, rng *rand.Rand) ([]uint8, bool) {
-	inj := injection{}
-	if f.BranchGate != nil {
-		inj.branchGate = f.BranchGate
-		inj.branchPin = f.BranchPin
-		inj.branchVal = f.Value
-	} else {
-		inj.stemNet = f.Net
-		inj.stemVal = f.Value
-	}
-	conds := []condition{{net: f.Net, val: f.Value ^ 1}}
-	return e.solveDetect(inj, conds, st, rng)
-}
-
-// hostConds returns the activation conditions of a cell-aware host
-// assignment: every gate input at its bit of asg.
-func hostConds(g *netlist.Gate, asg uint) []condition {
-	conds := make([]condition, 0, len(g.Fanin))
-	for i, in := range g.Fanin {
-		conds = append(conds, condition{net: in, val: uint8(asg >> uint(i) & 1)})
-	}
-	return conds
-}
-
-// resolveCellAware mirrors podem.generateCellAware: every static activating
-// assignment, then every dynamic (init, launch) pair, each resolved
-// completely.
-func (e *Escalator) resolveCellAware(f *fault.Fault, st *SATStats, rng *rand.Rand) (SearchOutcome, *TestVec, SATStats) {
-	g := f.Gate
-	beh := f.Behavior
-	n := uint(1) << uint(beh.Inputs)
-
-	for a := uint(0); a < n; a++ {
-		if beh.StaticMask>>a&1 == 0 {
-			continue
-		}
-		if vec, ok := e.solveDetect(injection{hostGate: g, hostAsg: a}, hostConds(g, a), st, rng); ok {
-			return FoundTest, &TestVec{Vec: vec}, *st
-		}
-	}
-	if len(beh.PairMask) == 0 {
-		return ProvenImpossible, nil, *st
-	}
-	for a2 := uint(0); a2 < n; a2++ {
-		anyPair := false
-		for a1 := uint(0); a1 < n; a1++ {
-			if uint(len(beh.PairMask)) > a1 && beh.PairMask[a1]>>a2&1 == 1 {
-				anyPair = true
-				break
-			}
-		}
-		if !anyPair {
-			continue
-		}
-		vec, ok := e.solveDetect(injection{hostGate: g, hostAsg: a2}, hostConds(g, a2), st, rng)
-		if !ok {
-			continue
-		}
-		for a1 := uint(0); a1 < n; a1++ {
-			if uint(len(beh.PairMask)) <= a1 || beh.PairMask[a1]>>a2&1 == 0 {
-				continue
-			}
-			if init, ok2 := e.solveJustify(hostConds(g, a1), st, rng); ok2 {
-				return FoundTest, &TestVec{Init: init, Vec: vec}, *st
-			}
-		}
-	}
-	return ProvenImpossible, nil, *st
-}
-
 // cnfInst is one CNF instance under construction: the variable maps from
-// nets to solver variables and the injection being encoded.
+// nets to solver variables.
 type cnfInst struct {
 	c    *netlist.Circuit
 	s    *sat.Solver
@@ -189,31 +99,12 @@ type cnfInst struct {
 	cone []bool
 }
 
-// siteOf returns the net where an injection's fault effect originates
-// (mirrors podem.siteNet).
-func siteOf(inj injection) *netlist.Net {
-	switch {
-	case inj.stemNet != nil:
-		return inj.stemNet
-	case inj.bridgeVictim != nil:
-		return inj.bridgeVictim
-	case inj.branchGate != nil:
-		return inj.branchGate.Out
-	case inj.hostGate != nil:
-		return inj.hostGate.Out
-	}
-	return nil
-}
-
-// solveDetect builds and solves one detection instance. It returns the
-// witness vector and true on SAT; false is a proof that no test detects the
-// injected fault under the given conditions.
-func (e *Escalator) solveDetect(inj injection, conds []condition, st *SATStats, rng *rand.Rand) ([]uint8, bool) {
+// solveDetect builds and solves the detection instance of target t. It
+// returns the witness vector and true on SAT; false is a proof that no
+// vector meets t.
+func (e *Escalator) solveDetect(t *fault.Target, st *SATStats, rng *rand.Rand) ([]uint8, bool) {
 	c := e.c
-	site := siteOf(inj)
-	if site == nil {
-		return nil, false
-	}
+	site := t.Site()
 
 	// Fault-effect cone: the site and its transitive fanout.
 	cone := make([]bool, len(c.Nets))
@@ -249,11 +140,11 @@ func (e *Escalator) solveDetect(inj injection, conds []condition, st *SATStats, 
 			stack = append(stack, n)
 		}
 	}
-	for _, cd := range conds {
-		mark(cd.net)
+	for _, cd := range t.Conds {
+		mark(cd.Net)
 	}
-	if inj.bridgeSrc != nil {
-		mark(inj.bridgeSrc)
+	if t.Effect == fault.EffectBridge {
+		mark(t.Other)
 	}
 	mark(site)
 	for _, g := range c.Gates {
@@ -293,15 +184,15 @@ func (e *Escalator) solveDetect(inj injection, conds []condition, st *SATStats, 
 			continue
 		}
 		if n == site {
-			ci.injectSite(inj, n)
+			ci.injectSite(t, n)
 			continue
 		}
 		ci.gateClauses(n.Driver, ci.fvar[n.ID], ci.mixedVarsOf(n.Driver), -1, 0)
 	}
 
 	// Excitation / activation conditions as unit clauses on good values.
-	for _, cd := range conds {
-		ci.s.AddClause(sat.PosLit(int(ci.gvar[cd.net.ID]), cd.val))
+	for _, cd := range t.Conds {
+		ci.s.AddClause(sat.PosLit(int(ci.gvar[cd.Net.ID]), cd.Val))
 	}
 
 	// Detection: at least one cone primary output must differ.
@@ -325,7 +216,7 @@ func (e *Escalator) solveDetect(inj injection, conds []condition, st *SATStats, 
 // solveJustify builds and solves a pure good-circuit justification instance
 // (transition initialization, cell-aware pair initialization): find an input
 // vector under which every condition net holds its required value.
-func (e *Escalator) solveJustify(conds []condition, st *SATStats, rng *rand.Rand) ([]uint8, bool) {
+func (e *Escalator) solveJustify(conds []fault.Cond, st *SATStats, rng *rand.Rand) ([]uint8, bool) {
 	c := e.c
 	need := make([]bool, len(c.Nets))
 	var stack []*netlist.Net
@@ -336,7 +227,7 @@ func (e *Escalator) solveJustify(conds []condition, st *SATStats, rng *rand.Rand
 		}
 	}
 	for _, cd := range conds {
-		mark(cd.net)
+		mark(cd.Net)
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -355,7 +246,7 @@ func (e *Escalator) solveJustify(conds []condition, st *SATStats, rng *rand.Rand
 		}
 	}
 	for _, cd := range conds {
-		ci.s.AddClause(sat.PosLit(int(ci.gvar[cd.net.ID]), cd.val))
+		ci.s.AddClause(sat.PosLit(int(ci.gvar[cd.Net.ID]), cd.Val))
 	}
 	return ci.solve(st, rng)
 }
@@ -431,26 +322,25 @@ func (ci *cnfInst) gateClauses(g *netlist.Gate, outVar int32, inVars []int32, fo
 	}
 }
 
-// injectSite emits the faulty-value definition of the fault site.
-func (ci *cnfInst) injectSite(inj injection, site *netlist.Net) {
+// injectSite emits the faulty-value definition of target t's site.
+func (ci *cnfInst) injectSite(t *fault.Target, site *netlist.Net) {
 	fv := int(ci.fvar[site.ID])
-	switch {
-	case inj.stemNet != nil:
+	switch t.Effect {
+	case fault.EffectStem:
 		// Stem stuck-at: the faulty value is the stuck value, period.
-		ci.s.AddClause(sat.PosLit(fv, inj.stemVal))
-	case inj.bridgeVictim != nil:
+		ci.s.AddClause(sat.PosLit(fv, t.Val))
+	case fault.EffectBridge:
 		// Dominant bridge: the victim assumes the aggressor's good value.
-		src := int(ci.gvar[inj.bridgeSrc.ID])
+		src := int(ci.gvar[t.Other.ID])
 		ci.s.AddClause(sat.MkLit(fv, true), sat.MkLit(src, false))
 		ci.s.AddClause(sat.MkLit(fv, false), sat.MkLit(src, true))
-	case inj.branchGate != nil:
+	case fault.EffectBranch:
 		// Fanout-branch stuck-at: the site gate re-evaluates with the
 		// branch pin pinned to the stuck value.
-		ci.gateClauses(inj.branchGate, ci.fvar[site.ID], ci.mixedVarsOf(inj.branchGate),
-			inj.branchPin, inj.branchVal)
-	case inj.hostGate != nil:
-		// Cell-aware host: under its activation condition (imposed as unit
-		// clauses by the caller) the output complements.
+		ci.gateClauses(t.Gate, ci.fvar[site.ID], ci.mixedVarsOf(t.Gate), t.Pin, t.Val)
+	case fault.EffectHost:
+		// Cell-aware host: under its activation condition (the target's
+		// conditions) the output complements.
 		gv := int(ci.gvar[site.ID])
 		ci.s.AddClause(sat.MkLit(fv, false), sat.MkLit(gv, false))
 		ci.s.AddClause(sat.MkLit(fv, true), sat.MkLit(gv, true))

@@ -7,6 +7,7 @@ import (
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/netlist"
+	"dfmresyn/internal/switchsim"
 )
 
 // wideCircuit builds a random netlist with more PIs than randCircuit, so
@@ -48,8 +49,8 @@ func widenToCircuit(p *podem) {
 
 // TestConeMatchesWholeCircuit drives a cone-bounded engine and a
 // whole-circuit engine through the same partial PI assignments, for every
-// injection kind, and requires identical values on every cone net and
-// identical detection, objective and free-PI decisions.
+// target effect and for justification, and requires identical values on
+// every cone net and identical detection, objective and free-PI decisions.
 func TestConeMatchesWholeCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -58,33 +59,48 @@ func TestConeMatchesWholeCircuit(t *testing.T) {
 		cone := newPodem(c, order, levels, 100)
 		cone.epoch = math.MaxUint32 - 3 // cross the visited-set wrap-around early
 		whole := newPodem(c, order, levels, 100)
-		cone.extra = []condition{{net: c.Nets[rng.Intn(len(c.Nets))], val: uint8(rng.Intn(2))}}
-		whole.extra = cone.extra
+		extra := []fault.Cond{{Net: c.Nets[rng.Intn(len(c.Nets))], Val: uint8(rng.Intn(2))}}
 
+		// aim configures p for target k of f as GenerateWith does, with
+		// the extra condition after the target's own.
+		aim := func(p *podem, f *fault.Fault, k int) {
+			p.targets.Reset(f)
+			for ; k >= 0; k-- {
+				if !p.targets.Next() {
+					t.Fatalf("%v: too few targets", f)
+				}
+			}
+			tg := p.targets.Target()
+			p.t, p.conds = tg, append(append(p.conds[:0], tg.Conds...), extra...)
+		}
 		var configs []func(p *podem)
 		for _, n := range c.Nets {
 			v := uint8(rng.Intn(2))
 			configs = append(configs, func(p *podem) {
-				p.configureStuckAt(&fault.Fault{Model: fault.StuckAt, Net: n, Value: v})
+				aim(p, &fault.Fault{Model: fault.StuckAt, Net: n, Value: v}, 0)
 			})
 			if len(n.Fanout) > 0 {
 				pin := n.Fanout[rng.Intn(len(n.Fanout))]
 				configs = append(configs, func(p *podem) {
-					p.configureStuckAt(&fault.Fault{Model: fault.StuckAt, Net: n, Value: v,
-						BranchGate: pin.Gate, BranchPin: pin.Pin})
+					aim(p, &fault.Fault{Model: fault.StuckAt, Net: n, Value: v,
+						BranchGate: pin.Gate, BranchPin: pin.Pin}, 0)
 				})
 			}
 			other := c.Nets[rng.Intn(len(c.Nets))]
 			configs = append(configs, func(p *podem) {
-				p.configureBridge(&fault.Fault{Model: fault.Bridge, Net: n, Other: other}, v)
+				// Target 0 is the victim-1 polarity, target 1 victim 0.
+				aim(p, &fault.Fault{Model: fault.Bridge, Net: n, Other: other}, int(v^1))
 			})
 			configs = append(configs, func(p *podem) {
-				p.configureJustify([]condition{{net: n, val: v}})
+				p.t, p.conds = nil, append(p.conds[:0], fault.Cond{Net: n, Val: v})
 			})
 		}
 		for _, g := range c.Gates {
 			asg := uint(rng.Intn(1 << uint(len(g.Fanin))))
-			configs = append(configs, func(p *podem) { p.configureHost(g, asg) })
+			beh := &switchsim.Behavior{Inputs: len(g.Fanin), StaticMask: 1 << asg}
+			configs = append(configs, func(p *podem) {
+				aim(p, &fault.Fault{Model: fault.CellAware, Gate: g, Behavior: beh}, 0)
+			})
 		}
 
 		for ci, configure := range configs {

@@ -140,7 +140,9 @@ func TestEscalationMatchesUnlimitedPODEM(t *testing.T) {
 	for ci, gates := range circuits {
 		c := randCircuit(rng, gates)
 
+		// Both runs keep the static screen off, so every fault is searched.
 		ref := DefaultConfig()
+		ref.Static = false
 		ref.BacktrackLimit = 1 << 30 // effectively unlimited on a 4-PI circuit
 		ref.SATEscalate = false      // raw PODEM is the oracle
 		refSt, _, refRes := runSnapshot(c, ref)
@@ -148,8 +150,9 @@ func TestEscalationMatchesUnlimitedPODEM(t *testing.T) {
 			t.Fatalf("circuit %d: unlimited reference run aborted %d faults", ci, refRes.Aborted)
 		}
 
-		cfg := DefaultConfig()
+		cfg := ref
 		cfg.BacktrackLimit = 1 // starve PODEM: almost everything escalates
+		cfg.SATEscalate = true
 		st, _, res := runSnapshot(c, cfg)
 		if res.Aborted != 0 {
 			t.Errorf("circuit %d: %d faults still Aborted with escalation on", ci, res.Aborted)
@@ -179,6 +182,7 @@ func TestEscalationByteIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	c := randCircuit(rng, 40)
 	cfg := DefaultConfig()
+	cfg.Static = false // every fault is searched
 	cfg.BacktrackLimit = 1
 	cfg.Workers = 1
 	refSt, refTests, refRes := runSnapshot(c, cfg)

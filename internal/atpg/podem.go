@@ -5,6 +5,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -25,42 +26,6 @@ const (
 	LimitExceeded
 )
 
-// condition is a required good value on a net (excitation condition or
-// justification target).
-type condition struct {
-	net *netlist.Net
-	val uint8
-}
-
-// Condition is an externally-imposed requirement on the good value of a
-// net, usable as an extra constraint on a search (see
-// Generator.GenerateWith). The double-fault baseline uses it to demand the
-// activation condition of an undetectable fault while detecting a
-// neighbouring one.
-type Condition struct {
-	Net *netlist.Net
-	Val uint8
-}
-
-// injection describes how the fault modifies five-valued evaluation.
-type injection struct {
-	// stemNet/stemVal: the net is forced to stemVal in the faulty circuit.
-	stemNet *netlist.Net
-	stemVal uint8
-	// branchGate/branchPin/branchVal: only this gate input is forced.
-	branchGate *netlist.Gate
-	branchPin  int
-	branchVal  uint8
-	// hostGate + flip: cell-aware host; when the good inputs match
-	// hostAsg exactly the output is complemented.
-	hostGate *netlist.Gate
-	hostAsg  uint
-	// bridgeVictim/bridgeSrc: victim takes the good value of source.
-	bridgeVictim *netlist.Net
-	bridgeSrc    *netlist.Net
-	none         bool // pure justification (no fault)
-}
-
 // podem is one complete-search engine instance over a circuit.
 //
 // Every search is bounded by its cone (see buildCone): implication, the
@@ -78,9 +43,12 @@ type podem struct {
 	good  []logic.V5 // per net, good-circuit ternary values (0/1/X as V5)
 	piVal []int8     // per PI position: -1 unassigned, else 0/1
 
-	inj        injection
-	conds      []condition
-	extra      []condition // externally-imposed conditions on detection searches
+	// t is the current search's detection target; nil makes the search a
+	// justification, which injects nothing and succeeds once every
+	// condition holds. conds are the good values the search must set.
+	t          *fault.Target
+	conds      []fault.Cond
+	targets    fault.Targets
 	backtracks int
 	btTotal    int // cumulative backtracks across every search (telemetry)
 	limit      int
@@ -157,18 +125,19 @@ func (p *podem) newEpoch() uint32 {
 	return p.epoch
 }
 
-// buildCone computes the current search's cone from the configured
-// injection and conditions. The region is every net structurally reachable
-// from the site net; every net that can carry a fault effect lies in it. The
-// cone adds the transitive fanin of the region (which covers the host and
-// branch gate inputs, since those gates drive region nets), of every
-// condition net (extra conditions included) and of the bridge source. The
-// cone is closed under fanin, so implying its gates in order gives its nets
-// exactly the values a whole-circuit implication would, and every net the
-// search reads lies in it.
+// buildCone computes the current search's cone from the target and
+// conditions. The region is every net structurally reachable from the site
+// net; every net that can carry a fault effect lies in it. The cone adds the
+// transitive fanin of the region (which covers the host and branch gate
+// inputs, since those gates drive region nets), of every condition net
+// (extra conditions included) and of the bridge aggressor. The cone is
+// closed under fanin, so implying its gates in order gives its nets exactly
+// the values a whole-circuit implication would, and every net the search
+// reads lies in it.
 func (p *podem) buildCone() {
 	p.region = p.region[:0]
-	if site := p.siteNet(); site != nil {
+	if p.t != nil {
+		site := p.t.Site()
 		ep := p.newEpoch()
 		p.mark[site.ID] = ep
 		p.region = append(p.region, site)
@@ -194,10 +163,10 @@ func (p *podem) buildCone() {
 		push(n)
 	}
 	for _, c := range p.conds {
-		push(c.net)
+		push(c.Net)
 	}
-	if p.inj.bridgeSrc != nil {
-		push(p.inj.bridgeSrc)
+	if p.t != nil && p.t.Effect == fault.EffectBridge {
+		push(p.t.Other)
 	}
 	gpos := p.gpos[:0]
 	p.conePIs = p.conePIs[:0]
@@ -238,7 +207,7 @@ type decision struct {
 	flipped bool
 }
 
-// search runs a complete PODEM search for the configured injection and
+// search runs a complete PODEM search for the configured target and
 // conditions. On FoundTest, the returned vector has every PI specified
 // (unassigned PIs are filled from rng).
 func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
@@ -330,7 +299,8 @@ func (p *podem) imply() {
 		p.good[g.Out.ID] = p.evalGate(g, gin)
 	}
 
-	// Pass 2: faulty-composite values with the injection applied.
+	// Pass 2: faulty-composite values with the target's effect applied.
+	t := p.t
 	for _, i := range p.conePIs {
 		n := p.c.PIs[i]
 		p.vals[n.ID] = p.injectStem(n, p.good[n.ID])
@@ -342,52 +312,55 @@ func (p *podem) imply() {
 			gin[i] = p.good[in.ID]
 			fin[i] = p.vals[in.ID]
 		}
-		if p.inj.branchGate == g {
+		var fv logic.V5
+		switch {
+		case t == nil || t.Gate != g:
+			fv = p.evalGate(g, fin)
+		case t.Effect == fault.EffectHost:
+			fv = p.hostEval(gin, p.good[g.Out.ID])
+		default:
 			// The branch input sees the forced value in the faulty
 			// circuit; its good projection is the net's good value.
-			gb, known := fin[p.inj.branchPin].Good()
-			if known {
-				fin[p.inj.branchPin] = logic.FromBits(gb, p.inj.branchVal)
-			} else {
-				fin[p.inj.branchPin] = logic.X
-			}
-		}
-		var fv logic.V5
-		if p.inj.hostGate == g {
-			fv = p.hostEval(g, gin, p.good[g.Out.ID])
-		} else {
+			fin[t.Pin] = force(fin[t.Pin], t.Val)
 			fv = p.evalGate(g, fin)
 		}
 		p.vals[g.Out.ID] = p.injectStem(g.Out, fv)
 	}
 }
 
+// force returns v with its faulty value replaced by val, or X when v's good
+// value is unknown.
+func force(v logic.V5, val uint8) logic.V5 {
+	gb, known := v.Good()
+	if !known {
+		return logic.X
+	}
+	return logic.FromBits(gb, val)
+}
+
 // injectStem applies a stem-forced faulty value or a bridge at net n.
 func (p *podem) injectStem(n *netlist.Net, v logic.V5) logic.V5 {
-	if p.inj.stemNet == n {
-		gb, known := v.Good()
-		if !known {
-			return logic.X
-		}
-		return logic.FromBits(gb, p.inj.stemVal)
+	t := p.t
+	if t == nil || t.Net != n {
+		return v
 	}
-	if p.inj.bridgeVictim == n {
-		gb, known := v.Good()
+	switch t.Effect {
+	case fault.EffectStem:
+		return force(v, t.Val)
+	case fault.EffectBridge:
+		sb, known := p.good[t.Other.ID].Good()
 		if !known {
 			return logic.X
 		}
-		sb, sknown := p.good[p.inj.bridgeSrc.ID].Good()
-		if !sknown {
-			return logic.X
-		}
-		return logic.FromBits(gb, sb)
+		return force(v, sb)
 	}
 	return v
 }
 
 // hostEval computes the cell-aware host gate's faulty-composite output: the
-// cell output flips exactly when the good input assignment equals hostAsg.
-func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 {
+// cell output flips exactly when the good input assignment equals the
+// target's.
+func (p *podem) hostEval(gin []logic.V5, gv logic.V5) logic.V5 {
 	for i, v := range gin {
 		gb, known := v.Good()
 		if !known {
@@ -398,7 +371,7 @@ func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 
 			}
 			return logic.X
 		}
-		if uint(gb) != p.inj.hostAsg>>uint(i)&1 {
+		if uint(gb) != p.t.Asg>>uint(i)&1 {
 			return gv // definite mismatch: fault-free behavior
 		}
 	}
@@ -410,11 +383,11 @@ func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 
 }
 
 // canMatchHost reports whether the partially-known good inputs can still
-// complete to hostAsg.
+// complete to the target's assignment.
 func (p *podem) canMatchHost(gin []logic.V5) bool {
 	for i, v := range gin {
 		gb, known := v.Good()
-		if known && uint(gb) != p.inj.hostAsg>>uint(i)&1 {
+		if known && uint(gb) != p.t.Asg>>uint(i)&1 {
 			return false
 		}
 	}
@@ -426,12 +399,8 @@ func (p *podem) canMatchHost(gin []logic.V5) bool {
 // projection.
 func (p *podem) faninVal(g *netlist.Gate, i int) logic.V5 {
 	v := p.vals[g.Fanin[i].ID]
-	if p.inj.branchGate == g && p.inj.branchPin == i {
-		gb, known := v.Good()
-		if !known {
-			return logic.X
-		}
-		return logic.FromBits(gb, p.inj.branchVal)
+	if t := p.t; t != nil && t.Effect == fault.EffectBranch && t.Gate == g && t.Pin == i {
+		return force(v, t.Val)
 	}
 	return v
 }
@@ -439,10 +408,10 @@ func (p *podem) faninVal(g *netlist.Gate, i int) logic.V5 {
 // detected reports whether a fault effect has reached a primary output —
 // or, for pure justification runs, whether all conditions hold.
 func (p *podem) detected() bool {
-	if p.inj.none {
+	if p.t == nil {
 		for _, c := range p.conds {
-			gb, known := p.good[c.net.ID].Good()
-			if !known || gb != c.val {
+			gb, known := p.good[c.Net.ID].Good()
+			if !known || gb != c.Val {
 				return false
 			}
 		}
@@ -464,23 +433,21 @@ func (p *podem) objective() (*netlist.Net, uint8, bool) {
 	// output, no extension of the current assignment can detect the
 	// fault. This fires long before excitation is complete and disposes
 	// of faults in unobservable logic immediately.
-	if !p.inj.none {
-		if site := p.siteNet(); site != nil && !p.sitePathExists(site) {
-			return nil, 0, false
-		}
+	if p.t != nil && !p.sitePathExists(p.t.Site()) {
+		return nil, 0, false
 	}
 
 	// Unsatisfied conditions next (excitation / justification).
 	for _, c := range p.conds {
-		gb, known := p.good[c.net.ID].Good()
+		gb, known := p.good[c.Net.ID].Good()
 		if !known {
-			return c.net, c.val, true
+			return c.Net, c.Val, true
 		}
-		if gb != c.val {
+		if gb != c.Val {
 			return nil, 0, false // condition contradicted
 		}
 	}
-	if p.inj.none {
+	if p.t == nil {
 		return nil, 0, false // all conditions met handled by detected()
 	}
 
@@ -541,21 +508,6 @@ func (p *podem) objective() (*netlist.Net, uint8, bool) {
 	return nil, 0, false
 }
 
-// siteNet returns the net where the fault effect originates.
-func (p *podem) siteNet() *netlist.Net {
-	switch {
-	case p.inj.stemNet != nil:
-		return p.inj.stemNet
-	case p.inj.bridgeVictim != nil:
-		return p.inj.bridgeVictim
-	case p.inj.branchGate != nil:
-		return p.inj.branchGate.Out
-	case p.inj.hostGate != nil:
-		return p.inj.hostGate.Out
-	}
-	return nil
-}
-
 // sitePathExists reports whether the site's (current or future) error can
 // still reach a primary output through nets whose values are X or already
 // erroneous. A site with a known non-error value cannot produce an error
@@ -597,26 +549,19 @@ func (p *podem) reachesPO(queue []*netlist.Net, ep uint32) bool {
 	return found
 }
 
-// siteObjective returns an objective that defines the fault site value when
-// it is still X (e.g. a stem fault whose driver output is unknown).
+// siteObjective returns an objective that defines the faulty net of a stem
+// or branch target while its good value is still X (e.g. a stem fault
+// whose driver output is unknown). Bridge and host targets define their
+// sites through their conditions.
 func (p *podem) siteObjective() (*netlist.Net, uint8, bool) {
-	switch {
-	case p.inj.stemNet != nil:
-		n := p.inj.stemNet
-		if _, known := p.good[n.ID].Good(); !known {
-			return n, p.inj.stemVal ^ 1, true
-		}
-	case p.inj.bridgeVictim != nil:
-		// Handled through conditions.
-	case p.inj.branchGate != nil:
-		n := p.inj.branchGate.Fanin[p.inj.branchPin]
-		if _, known := p.good[n.ID].Good(); !known {
-			return n, p.inj.branchVal ^ 1, true
-		}
-	case p.inj.hostGate != nil:
-		// Host inputs are handled through conditions.
+	t := p.t
+	if t.Effect != fault.EffectStem && t.Effect != fault.EffectBranch {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	if _, known := p.good[t.Net.ID].Good(); known {
+		return nil, 0, false
+	}
+	return t.Net, t.Val ^ 1, true
 }
 
 // xPathExists checks whether any frontier gate output reaches a PO through
@@ -887,16 +832,8 @@ func NewGenerator(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit
 	return &Generator{p: newPodem(c, order, levels, limit)}
 }
 
-// GenerateOne runs complete PODEM searches for fault f and returns either a
+// Generate runs complete PODEM searches for fault f and returns either a
 // test (possibly two-pattern), a proof of undetectability, or an abort.
-// levels must be the circuit's net levels and order its levelized gates.
-// For many faults on the same circuit, prefer a Generator.
-func GenerateOne(c *netlist.Circuit, order []*netlist.Gate, levels []int,
-	f *fault.Fault, limit int, rng *rand.Rand) (SearchOutcome, *TestVec) {
-	return NewGenerator(c, order, levels, limit).Generate(f, rng)
-}
-
-// Generate runs complete PODEM searches for fault f.
 func (gen *Generator) Generate(f *fault.Fault, rng *rand.Rand) (SearchOutcome, *TestVec) {
 	return gen.GenerateWith(f, nil, rng)
 }
@@ -904,71 +841,40 @@ func (gen *Generator) Generate(f *fault.Fault, rng *rand.Rand) (SearchOutcome, *
 // GenerateWith runs the searches for fault f with additional good-value
 // conditions imposed on every detection vector (the initialization vectors
 // of two-pattern tests are unconstrained). ProvenImpossible then means "no
-// test detects f while satisfying the extra conditions".
-func (gen *Generator) GenerateWith(f *fault.Fault, extra []Condition, rng *rand.Rand) (SearchOutcome, *TestVec) {
+// test detects f while satisfying the extra conditions". The double-fault
+// baseline imposes the activation conditions of an undetectable fault this
+// way while detecting a neighbouring one.
+//
+// Each of f's detection targets gets one complete search, in fault.Targets
+// order, and a pattern-pair target that search satisfies gets one
+// justification search per initialisation alternative.
+func (gen *Generator) GenerateWith(f *fault.Fault, extra []fault.Cond, rng *rand.Rand) (SearchOutcome, *TestVec) {
 	p := gen.p
-	p.extra = p.extra[:0]
-	for _, e := range extra {
-		p.extra = append(p.extra, condition{net: e.Net, val: e.Val})
-	}
-	defer func() { p.extra = p.extra[:0] }()
 	aborted := false
-
-	runOnce := func() (SearchOutcome, []uint8) { return p.search(rng) }
-
-	switch f.Model {
-	case fault.StuckAt:
-		p.configureStuckAt(f)
-		out, vec := runOnce()
-		switch out {
-		case FoundTest:
+	p.targets.Reset(f)
+	for p.targets.Next() {
+		t := p.targets.Target()
+		p.t, p.conds = t, append(append(p.conds[:0], t.Conds...), extra...)
+		out, vec := p.search(rng)
+		aborted = aborted || out == LimitExceeded
+		if out != FoundTest {
+			continue
+		}
+		if t.Inits == 0 {
 			return FoundTest, &TestVec{Vec: vec}
-		case LimitExceeded:
-			return LimitExceeded, nil
 		}
-		return ProvenImpossible, nil
-
-	case fault.Transition:
-		// Phase 1: detect stuck-at-Value at the site.
-		p.configureStuckAt(&fault.Fault{Model: fault.StuckAt, Net: f.Net,
-			BranchGate: f.BranchGate, BranchPin: f.BranchPin, Value: f.Value})
-		out, vec := runOnce()
-		if out == LimitExceeded {
-			return LimitExceeded, nil
-		}
-		if out == ProvenImpossible {
-			return ProvenImpossible, nil
-		}
-		// Phase 2: justify the initialization value at the site.
-		p.configureJustify([]condition{{net: f.Net, val: f.Value}})
-		out2, init := runOnce()
-		switch out2 {
-		case FoundTest:
-			return FoundTest, &TestVec{Init: init, Vec: vec}
-		case LimitExceeded:
-			return LimitExceeded, nil
-		}
-		return ProvenImpossible, nil
-
-	case fault.Bridge:
-		// Two polarities: victim 1 / aggressor 0, and the reverse.
-		for _, va := range []uint8{1, 0} {
-			p.configureBridge(f, va)
-			out, vec := runOnce()
-			switch out {
-			case FoundTest:
-				return FoundTest, &TestVec{Vec: vec}
-			case LimitExceeded:
-				aborted = true
+		p.t = nil
+		for m := t.Inits; m != 0; m &= m - 1 {
+			p.conds = t.InitConds(p.conds[:0], uint(bits.TrailingZeros64(m)))
+			out, init := p.search(rng)
+			if out == FoundTest {
+				return FoundTest, &TestVec{Init: init, Vec: vec}
 			}
+			aborted = aborted || out == LimitExceeded
 		}
-		if aborted {
-			return LimitExceeded, nil
-		}
-		return ProvenImpossible, nil
-
-	case fault.CellAware:
-		return p.generateCellAware(f, rng)
+	}
+	if aborted {
+		return LimitExceeded, nil
 	}
 	return ProvenImpossible, nil
 }
@@ -978,117 +884,4 @@ func (gen *Generator) GenerateWith(f *fault.Fault, extra []Condition, rng *rand.
 type TestVec struct {
 	Init []uint8
 	Vec  []uint8
-}
-
-func (p *podem) configureStuckAt(f *fault.Fault) {
-	p.inj = injection{}
-	p.conds = p.conds[:0]
-	if f.BranchGate != nil {
-		p.inj.branchGate = f.BranchGate
-		p.inj.branchPin = f.BranchPin
-		p.inj.branchVal = f.Value
-		p.conds = append(p.conds, condition{net: f.Net, val: f.Value ^ 1})
-	} else {
-		p.inj.stemNet = f.Net
-		p.inj.stemVal = f.Value
-		p.conds = append(p.conds, condition{net: f.Net, val: f.Value ^ 1})
-	}
-	p.conds = append(p.conds, p.extra...)
-}
-
-func (p *podem) configureBridge(f *fault.Fault, victimVal uint8) {
-	p.inj = injection{bridgeVictim: f.Net, bridgeSrc: f.Other}
-	p.conds = p.conds[:0]
-	p.conds = append(p.conds,
-		condition{net: f.Net, val: victimVal},
-		condition{net: f.Other, val: victimVal ^ 1})
-	p.conds = append(p.conds, p.extra...)
-}
-
-func (p *podem) configureJustify(conds []condition) {
-	p.inj = injection{none: true}
-	p.conds = append(p.conds[:0], conds...)
-}
-
-func (p *podem) configureHost(g *netlist.Gate, asg uint) {
-	p.inj = injection{hostGate: g, hostAsg: asg}
-	p.conds = p.conds[:0]
-	for i, in := range g.Fanin {
-		p.conds = append(p.conds, condition{net: in, val: uint8(asg >> uint(i) & 1)})
-	}
-	p.conds = append(p.conds, p.extra...)
-}
-
-// generateCellAware tries every activating assignment (static first, then
-// dynamic pairs) with a complete search each.
-func (p *podem) generateCellAware(f *fault.Fault, rng *rand.Rand) (SearchOutcome, *TestVec) {
-	g := f.Gate
-	beh := f.Behavior
-	n := uint(1) << uint(beh.Inputs)
-	aborted := false
-
-	for a := uint(0); a < n; a++ {
-		if beh.StaticMask>>a&1 == 0 {
-			continue
-		}
-		p.configureHost(g, a)
-		out, vec := p.search(rng)
-		switch out {
-		case FoundTest:
-			return FoundTest, &TestVec{Vec: vec}
-		case LimitExceeded:
-			aborted = true
-		}
-	}
-
-	// Dynamic pairs: propagate under a2, then justify a1 on the init
-	// vector.
-	if len(beh.PairMask) == 0 {
-		if aborted {
-			return LimitExceeded, nil
-		}
-		return ProvenImpossible, nil
-	}
-	for a2 := uint(0); a2 < n; a2++ {
-		anyPair := false
-		for a1 := uint(0); a1 < n; a1++ {
-			if uint(len(beh.PairMask)) > a1 && beh.PairMask[a1]>>a2&1 == 1 {
-				anyPair = true
-				break
-			}
-		}
-		if !anyPair {
-			continue
-		}
-		p.configureHost(g, a2)
-		out, vec := p.search(rng)
-		if out == LimitExceeded {
-			aborted = true
-			continue
-		}
-		if out == ProvenImpossible {
-			continue
-		}
-		for a1 := uint(0); a1 < n; a1++ {
-			if beh.PairMask[a1]>>a2&1 == 0 {
-				continue
-			}
-			conds := make([]condition, 0, len(g.Fanin))
-			for i, in := range g.Fanin {
-				conds = append(conds, condition{net: in, val: uint8(a1 >> uint(i) & 1)})
-			}
-			p.configureJustify(conds)
-			out2, init := p.search(rng)
-			switch out2 {
-			case FoundTest:
-				return FoundTest, &TestVec{Init: init, Vec: vec}
-			case LimitExceeded:
-				aborted = true
-			}
-		}
-	}
-	if aborted {
-		return LimitExceeded, nil
-	}
-	return ProvenImpossible, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dfmresyn/internal/fault"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/netlist"
 )
 
@@ -40,7 +39,7 @@ func TestStaticScreenClassifies(t *testing.T) {
 	off := Run(c, lOff, Config{Seed: 5, Workers: 1})
 
 	lScr := stuckAtUniverse(c)
-	scr := Run(c, lScr, Config{Seed: 5, Workers: 1, Static: implic.ModeScreen})
+	scr := Run(c, lScr, Config{Seed: 5, Workers: 1, Static: true})
 	if scr.StaticProven == 0 {
 		t.Fatal("screen proved nothing on a circuit with a known redundancy")
 	}
@@ -67,7 +66,7 @@ func TestStaticScreenCancellationAtomic(t *testing.T) {
 	l := stuckAtUniverse(c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Run(c, l, Config{Seed: 5, Workers: 1, Static: implic.ModeScreen, Ctx: ctx})
+	res := Run(c, l, Config{Seed: 5, Workers: 1, Static: true, Ctx: ctx})
 	if !res.Cancelled {
 		t.Fatal("pre-cancelled run should report Cancelled")
 	}

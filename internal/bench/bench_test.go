@@ -117,7 +117,7 @@ func TestTV80ALUFunction(t *testing.T) {
 
 // TestSBox4Function: the S-box builder must reproduce its table.
 func TestSBox4Function(t *testing.T) {
-	b := NewB("sbox", lib, 1)
+	b := NewB("sbox", lib)
 	in := b.PIs("x", 4)
 	out := b.SBox4(presentSBox, in)
 	b.PO(out...)
@@ -137,7 +137,7 @@ func TestSBox4Function(t *testing.T) {
 
 // TestAdderAndMul: builder arithmetic must be correct.
 func TestAdderAndMul(t *testing.T) {
-	b := NewB("arith", lib, 2)
+	b := NewB("arith", lib)
 	x := b.PIs("x", 4)
 	y := b.PIs("y", 4)
 	sum, co := b.Adder(x, y, nil)
@@ -175,7 +175,7 @@ func TestAdderAndMul(t *testing.T) {
 
 // TestRotate: the barrel rotator must rotate left by the shift amount.
 func TestRotate(t *testing.T) {
-	b := NewB("rot", lib, 3)
+	b := NewB("rot", lib)
 	x := b.PIs("x", 8)
 	sh := b.PIs("s", 3)
 	out := b.Rotate(x, sh)
@@ -206,7 +206,7 @@ func TestRotate(t *testing.T) {
 // TestInjectConsensusIsRedundant: the consensus term's function must equal
 // the two-term cover (the injected gate is logically redundant).
 func TestInjectConsensusIsRedundant(t *testing.T) {
-	b := NewB("cons", lib, 4)
+	b := NewB("cons", lib)
 	x := b.PI("x")
 	y := b.PI("y")
 	z := b.PI("z")
@@ -225,7 +225,7 @@ func TestInjectConsensusIsRedundant(t *testing.T) {
 
 // TestDupMergeIdentity: DupMerge(x, y) must equal x AND y.
 func TestDupMergeIdentity(t *testing.T) {
-	b := NewB("dup", lib, 5)
+	b := NewB("dup", lib)
 	x := b.PI("x")
 	y := b.PI("y")
 	out := b.DupMerge(x, y)
@@ -244,7 +244,7 @@ func TestDupMergeIdentity(t *testing.T) {
 // 4-input functions.
 func TestFromTTBuilder(t *testing.T) {
 	for _, bits := range []uint64{0x8000, 0x1234, 0xFFFE, 0x6996} {
-		b := NewB("tt", lib, 6)
+		b := NewB("tt", lib)
 		in := b.PIs("x", 4)
 		tt := logic.TT{Inputs: 4, Bits: bits}
 		out := b.FromTT(tt, in)

@@ -5,13 +5,12 @@
 // repository and would be far too large for a single-core reproduction, so
 // each generator builds *real* logic of the same character — S-box rounds,
 // adders, multipliers, shifters, crossbars, decoders, control logic — with
-// seeded structure and deliberate reconvergence/redundancy, which is what
+// fixed structure and deliberate reconvergence/redundancy, which is what
 // produces undetectable DFM faults and their clusters.
 package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dfmresyn/internal/library"
 	"dfmresyn/internal/logic"
@@ -22,13 +21,12 @@ import (
 type B struct {
 	C   *netlist.Circuit
 	lib *library.Library
-	rng *rand.Rand
 	n   int
 }
 
 // NewB creates a builder for a named circuit.
-func NewB(name string, lib *library.Library, seed int64) *B {
-	return &B{C: netlist.New(name, lib), lib: lib, rng: rand.New(rand.NewSource(seed))}
+func NewB(name string, lib *library.Library) *B {
+	return &B{C: netlist.New(name, lib), lib: lib}
 }
 
 func (b *B) name() string {
@@ -76,9 +74,6 @@ func (b *B) Or(x, y *netlist.Net) *netlist.Net { return b.gate("OR2X2", x, y) }
 
 // Nand returns NOT(x AND y).
 func (b *B) Nand(x, y *netlist.Net) *netlist.Net { return b.gate("NAND2X1", x, y) }
-
-// Nor returns NOT(x OR y).
-func (b *B) Nor(x, y *netlist.Net) *netlist.Net { return b.gate("NOR2X1", x, y) }
 
 // Xor returns x XOR y.
 func (b *B) Xor(x, y *netlist.Net) *netlist.Net { return b.gate("XOR2X1", x, y) }
@@ -360,9 +355,4 @@ func (b *B) DupMerge(x, y *netlist.Net) *netlist.Net {
 	a2 := b.Nand(x, y)
 	// a1 OR NOT a2 == a1 (since NOT a2 == a1): the OR gate is redundant.
 	return b.Or(a1, b.Not(a2))
-}
-
-// Pick returns a deterministic pseudo-random element of the bus.
-func (b *B) Pick(nets []*netlist.Net) *netlist.Net {
-	return nets[b.rng.Intn(len(nets))]
 }

@@ -75,7 +75,7 @@ var skinnySBox = [16]uint8{0xC, 6, 9, 0, 1, 0xA, 2, 0xB, 3, 8, 5, 0xD, 4, 0xE, 7
 // buildTV80 models the tv80 (Z80) core slice: an 8-bit ALU with add/sub,
 // logic ops, an op-select mux tree and flag generation.
 func buildTV80(lib *library.Library) *netlist.Circuit {
-	b := NewB("tv80", lib, 80)
+	b := NewB("tv80", lib)
 	a := b.PIs("a", 8)
 	d := b.PIs("d", 8)
 	op := b.PIs("op", 2)
@@ -125,7 +125,7 @@ func buildTV80(lib *library.Library) *netlist.Circuit {
 // buildSystemCAES models the systemcaes block: one scaled AES-like round
 // over 16 bits: key xor, 4 S-boxes, a mix layer, and round-constant logic.
 func buildSystemCAES(lib *library.Library) *netlist.Circuit {
-	b := NewB("systemcaes", lib, 81)
+	b := NewB("systemcaes", lib)
 	st := b.PIs("s", 16)
 	key := b.PIs("k", 16)
 
@@ -162,7 +162,7 @@ func buildSystemCAES(lib *library.Library) *netlist.Circuit {
 // buildAESCore models aes_core: a wider AES-like round (32-bit state, 8
 // S-boxes) plus key-schedule xors.
 func buildAESCore(lib *library.Library) *netlist.Circuit {
-	b := NewB("aes_core", lib, 82)
+	b := NewB("aes_core", lib)
 	st := b.PIs("s", 32)
 	key := b.PIs("k", 32)
 
@@ -203,7 +203,7 @@ func buildAESCore(lib *library.Library) *netlist.Circuit {
 // buildWBConmax models the wb_conmax interconnect: a 4x4 crossbar with
 // priority arbiters and address decoders.
 func buildWBConmax(lib *library.Library) *netlist.Circuit {
-	b := NewB("wb_conmax", lib, 83)
+	b := NewB("wb_conmax", lib)
 	const masters, slaves, width = 4, 4, 6
 	var mdat [][]*netlist.Net
 	var mreq []*netlist.Net
@@ -247,7 +247,7 @@ func buildWBConmax(lib *library.Library) *netlist.Circuit {
 // the block appears as two *independent* round instances whose inputs and
 // outputs are pseudo-PIs/POs — exactly how scan ATPG sees the real design.
 func buildDESPerf(lib *library.Library) *netlist.Circuit {
-	b := NewB("des_perf", lib, 84)
+	b := NewB("des_perf", lib)
 	l := b.PIs("l", 16)
 	r := b.PIs("r", 16)
 	k1 := b.PIs("k1", 16)
@@ -295,7 +295,7 @@ func buildDESPerf(lib *library.Library) *netlist.Circuit {
 // buildSparcSPU models the stream processing unit: SHA-like mixing — modular
 // adds, rotations and choice/majority functions.
 func buildSparcSPU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_spu", lib, 85)
+	b := NewB("sparc_spu", lib)
 	x := b.PIs("x", 8)
 	y := b.PIs("y", 8)
 	z := b.PIs("z", 8)
@@ -321,7 +321,7 @@ func buildSparcSPU(lib *library.Library) *netlist.Circuit {
 // buildSparcFFU models the FPU frontend: exponent compare, mantissa align
 // shift and sticky logic.
 func buildSparcFFU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_ffu", lib, 86)
+	b := NewB("sparc_ffu", lib)
 	ea := b.PIs("ea", 5)
 	eb := b.PIs("eb", 5)
 	ma := b.PIs("ma", 8)
@@ -354,7 +354,7 @@ func buildSparcFFU(lib *library.Library) *netlist.Circuit {
 // buildSparcEXU models the execution unit: 8-bit ALU with bypass network
 // and condition codes.
 func buildSparcEXU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_exu", lib, 87)
+	b := NewB("sparc_exu", lib)
 	rs1 := b.PIs("rs1", 8)
 	rs2 := b.PIs("rs2", 8)
 	fwd := b.PIs("fwd", 8) // forwarded result
@@ -397,7 +397,7 @@ func buildSparcEXU(lib *library.Library) *netlist.Circuit {
 // buildSparcIFU models instruction fetch: PC increment, branch target adder,
 // and instruction decode PLA.
 func buildSparcIFU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_ifu", lib, 88)
+	b := NewB("sparc_ifu", lib)
 	pc := b.PIs("pc", 10)
 	off := b.PIs("off", 10)
 	inst := b.PIs("inst", 8)
@@ -433,7 +433,7 @@ func buildSparcIFU(lib *library.Library) *netlist.Circuit {
 // buildSparcTLU models the trap logic unit: priority encoding of trap
 // sources and trap-level comparison.
 func buildSparcTLU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_tlu", lib, 89)
+	b := NewB("sparc_tlu", lib)
 	req := b.PIs("req", 16)
 	lvl := b.PIs("lvl", 4)
 	cur := b.PIs("cur", 4)
@@ -487,7 +487,7 @@ func (b *B) greaterThan(x, y []*netlist.Net) *netlist.Net {
 // buildSparcLSU models the load/store unit: address add, tag compare, byte
 // alignment and mask generation.
 func buildSparcLSU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_lsu", lib, 90)
+	b := NewB("sparc_lsu", lib)
 	base := b.PIs("base", 10)
 	off := b.PIs("off", 10)
 	tag := b.PIs("tag", 6)
@@ -520,7 +520,7 @@ func buildSparcLSU(lib *library.Library) *netlist.Circuit {
 // exponent adder and a normalization shifter — the largest block, as in the
 // paper.
 func buildSparcFPU(lib *library.Library) *netlist.Circuit {
-	b := NewB("sparc_fpu", lib, 91)
+	b := NewB("sparc_fpu", lib)
 	ma := b.PIs("ma", 8)
 	mb := b.PIs("mb", 8)
 	ea := b.PIs("ea", 6)

@@ -20,8 +20,8 @@ var ScaleNames = []string{"synth1k", "synth10k"}
 // local and total analysis time scales linearly in the block count — the
 // property that makes a 10k-gate full analyze tractable in the benchmark
 // flow while still giving the physical stages one big shared die.
-func buildScale(name string, lib *library.Library, seed int64, blocks int) *netlist.Circuit {
-	b := NewB(name, lib, seed)
+func buildScale(name string, lib *library.Library, blocks int) *netlist.Circuit {
+	b := NewB(name, lib)
 	boxes := [3][16]uint8{presentSBox, desSBox, skinnySBox}
 	strides := [4]int{5, 7, 11, 13} // coprime to 16: true permutations
 	for k := 0; k < blocks; k++ {
@@ -55,9 +55,9 @@ func buildScale(name string, lib *library.Library, seed int64, blocks int) *netl
 }
 
 func buildSynth1K(lib *library.Library) *netlist.Circuit {
-	return buildScale("synth1k", lib, 92, 3)
+	return buildScale("synth1k", lib, 3)
 }
 
 func buildSynth10K(lib *library.Library) *netlist.Circuit {
-	return buildScale("synth10k", lib, 93, 28)
+	return buildScale("synth10k", lib, 28)
 }

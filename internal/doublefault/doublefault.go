@@ -139,50 +139,18 @@ func Run(d *flow.Design, maxPairsPerFault int, seed int64) Result {
 }
 
 // ActivationConditions extracts the local excitation requirement of a fault
-// as net/value conditions (for stuck-at and transition: the site at the
-// complement of the stuck value; for bridges: opposite values; for
-// cell-aware: one activating assignment's input values).
-func ActivationConditions(f *fault.Fault) []atpg.Condition {
-	var conds []atpg.Condition
-	switch f.Model {
-	case fault.StuckAt, fault.Transition:
-		conds = append(conds, atpg.Condition{Net: f.Net, Val: f.Value ^ 1})
-	case fault.Bridge:
-		conds = append(conds,
-			atpg.Condition{Net: f.Net, Val: 1},
-			atpg.Condition{Net: f.Other, Val: 0})
-	case fault.CellAware:
-		if f.Behavior == nil {
-			return nil
-		}
-		// First activating assignment (static, else first dynamic
-		// column).
-		n := uint(1) << uint(f.Behavior.Inputs)
-		asg, ok := uint(0), false
-		for a := uint(0); a < n; a++ {
-			if f.Behavior.StaticMask>>a&1 == 1 {
-				asg, ok = a, true
-				break
-			}
-		}
-		if !ok {
-			for a2 := uint(0); a2 < n && !ok; a2++ {
-				for _, pm := range f.Behavior.PairMask {
-					if pm>>a2&1 == 1 {
-						asg, ok = a2, true
-						break
-					}
-				}
-			}
-		}
-		if !ok {
-			return nil
-		}
-		for i, in := range f.Gate.Fanin {
-			conds = append(conds, atpg.Condition{Net: in, Val: uint8(asg >> uint(i) & 1)})
-		}
+// as net/value conditions: the conditions of its first detection target
+// (see fault.Targets). For stuck-at and transition faults that is the site
+// at the complement of the stuck value; for bridges, victim 1 and aggressor
+// 0; for cell-aware faults, the input values of the first activating
+// assignment, static before dynamic.
+func ActivationConditions(f *fault.Fault) []fault.Cond {
+	var it fault.Targets
+	it.Reset(f)
+	if !it.Next() {
+		return nil
 	}
-	return conds
+	return it.Target().Conds
 }
 
 func containsTest(tests []faultsim.Test, t faultsim.Test) bool {

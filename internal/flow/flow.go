@@ -18,7 +18,6 @@ import (
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/fcache"
 	"dfmresyn/internal/geom"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/library"
 	"dfmresyn/internal/lint"
 	"dfmresyn/internal/netlist"
@@ -73,13 +72,6 @@ type Env struct {
 	// budget remains ATPG.BacktrackLimit; the deadline is the backstop for
 	// a wedged stage, and expiry aborts the analysis like a cancellation.
 	StageTimeout time.Duration
-	// StaticProof selects the static implication screen applied before
-	// every PODEM phase (implic.ModeOff or ModeScreen; see
-	// atpg.Config.Static). NewEnv defaults to ModeScreen: statically
-	// proven undetectable faults skip their searches while all tables
-	// stay byte-identical to an unscreened run. A zero-valued Env leaves
-	// it off.
-	StaticProof implic.Mode
 	// Ledger, when non-nil, is the run flight recorder: every fault-
 	// classification stage the environment runs appends one stage record
 	// plus per-fault verdict provenance (see obs.Ledger and atpg.Config.
@@ -98,7 +90,6 @@ func (e *Env) atpgConfig() atpg.Config {
 	cfg.Cache = e.FaultCache
 	cfg.Obs = e.Obs
 	cfg.Ctx = e.Ctx
-	cfg.Static = e.StaticProof
 	if e.FaultCache != nil {
 		e.FaultCache.Instrument(e.Obs)
 	}
@@ -118,12 +109,11 @@ var osuLibrary = sync.OnceValues(func() (*library.Library, *dfm.LibraryProfile) 
 func NewEnv() *Env {
 	lib, prof := osuLibrary()
 	return &Env{
-		Lib:         lib,
-		Prof:        prof,
-		Mapper:      synth.NewMapper(lib),
-		ATPG:        atpg.DefaultConfig(),
-		Seed:        1,
-		StaticProof: implic.ModeScreen,
+		Lib:    lib,
+		Prof:   prof,
+		Mapper: synth.NewMapper(lib),
+		ATPG:   atpg.DefaultConfig(),
+		Seed:   1,
 	}
 }
 

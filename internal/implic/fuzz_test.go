@@ -169,13 +169,12 @@ func FuzzImplic(f *testing.F) {
 
 		// Soundness: every screened fault must be proven impossible by
 		// an unseeded complete search.
-		order := c.Levelize()
-		levels := c.Levels()
+		gen := atpg.NewGenerator(c, c.Levelize(), c.Levels(), 200000)
 		for i, fa := range list.Faults {
 			if !verdicts[i] {
 				continue
 			}
-			out, _ := atpg.GenerateOne(c, order, levels, fa, 200000, rand.New(rand.NewSource(11)))
+			out, _ := gen.Generate(fa, rand.New(rand.NewSource(11)))
 			if out == atpg.FoundTest {
 				t.Fatalf("UNSOUND: screen proved %v but PODEM found a test", fa)
 			}
@@ -189,7 +188,7 @@ func FuzzImplic(f *testing.F) {
 				l.Add(&cp)
 			}
 			atpg.Run(c, l, atpg.Config{
-				Seed: 42, Workers: workers, Static: implic.ModeScreen,
+				Seed: 42, Workers: workers, Static: true,
 			})
 			st := make([]fault.Status, len(l.Faults))
 			for i, fa := range l.Faults {

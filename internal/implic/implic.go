@@ -27,41 +27,6 @@ import (
 	"dfmresyn/internal/netlist"
 )
 
-// Mode selects how the static engine participates in ATPG.
-type Mode uint8
-
-// The staticproof modes.
-const (
-	// ModeOff disables the static screen entirely.
-	ModeOff Mode = iota
-	// ModeScreen proves faults undetectable before any PODEM search but
-	// leaves the searches themselves untouched, so every table is
-	// byte-identical to a run without the screen.
-	ModeScreen
-)
-
-// String names the mode using the CLI spelling.
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeScreen:
-		return "screen"
-	}
-	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// ParseMode parses the CLI spelling of a mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off":
-		return ModeOff, nil
-	case "screen":
-		return ModeScreen, nil
-	}
-	return ModeOff, fmt.Errorf("implic: unknown staticproof mode %q (want off or screen)", s)
-}
-
 // Lit encodes the literal net=val as 2*netID+val.
 type Lit int32
 

@@ -44,7 +44,7 @@ func podemOutcome(t *testing.T, c *netlist.Circuit, f *fault.Fault) atpg.SearchO
 	t.Helper()
 	order := c.Levelize()
 	levels := c.Levels()
-	out, _ := atpg.GenerateOne(c, order, levels, f, 100000, rand.New(rand.NewSource(7)))
+	out, _ := atpg.NewGenerator(c, order, levels, 100000).Generate(f, rand.New(rand.NewSource(7)))
 	if out == atpg.LimitExceeded {
 		t.Fatalf("PODEM aborted on a tiny circuit; raise the limit")
 	}
@@ -222,29 +222,6 @@ func TestNilAndEmptyEngine(t *testing.T) {
 	}
 	if got := implic.New(netlist.New("empty", lib)); got != nil {
 		t.Errorf("New(empty circuit) = %v, want nil", got)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want implic.Mode
-	}{
-		{"off", implic.ModeOff},
-		{"screen", implic.ModeScreen},
-	} {
-		m, err := implic.ParseMode(tc.in)
-		if err != nil || m != tc.want {
-			t.Errorf("ParseMode(%q) = %v, %v", tc.in, m, err)
-		}
-		if m.String() != tc.in {
-			t.Errorf("Mode(%v).String() = %q, want %q", m, m.String(), tc.in)
-		}
-	}
-	for _, bad := range []string{"bogus", "seed"} {
-		if _, err := implic.ParseMode(bad); err == nil {
-			t.Errorf("ParseMode(%q) should fail", bad)
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package implic
 
 import (
+	"math/bits"
+
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/netlist"
 )
@@ -17,123 +19,53 @@ import (
 // go through the search.)
 
 // Undetectable reports whether the fault is statically proven
-// undetectable. Safe on a nil engine (always false). The fault must
-// target the circuit the engine was built for.
+// undetectable: no detection target of the fault (see fault.Targets) may
+// be met. Safe on a nil engine (always false). The fault must target the
+// circuit the engine was built for. A cell-aware fault without a Behavior
+// is never proven.
 func (e *Engine) Undetectable(f *fault.Fault) bool {
-	if e == nil {
+	if e == nil || f.Model == fault.CellAware && f.Behavior == nil {
 		return false
 	}
-	switch f.Model {
-	case fault.StuckAt:
-		return e.stuckAtUndet(f.Net, f.BranchGate, f.BranchPin, f.Value)
-	case fault.Transition:
-		// The launch pattern must detect stuck-at-Value at the site and
-		// the initialization pattern must justify Value there.
-		if e.stuckAtUndet(f.Net, f.BranchGate, f.BranchPin, f.Value) {
-			return true
-		}
-		return e.Impossible(MkLit(f.Net.ID, f.Value))
-	case fault.Bridge:
-		return e.bridgeUndet(f)
-	case fault.CellAware:
-		return e.cellAwareUndet(f)
-	}
-	return false
-}
-
-// stuckAtUndet screens one stuck-at fault: excitation requires the good
-// value Value^1 at the site, and the resulting difference must reach a
-// primary output.
-func (e *Engine) stuckAtUndet(net *netlist.Net, bg *netlist.Gate, bp int, val uint8) bool {
-	exc := MkLit(net.ID, val^1)
-	if e.conflicting([]Lit{exc}) {
-		return true
-	}
-	E := eset{e: e, lits: []Lit{exc}}
-	if bg != nil {
-		return !e.reachPOFromGate(bg, bp, E)
-	}
-	return !e.reachPO(net, E)
-}
-
-// bridgeUndet screens a dominant-model bridge: each polarity needs
-// victim=va with aggressor=va^1 (then the victim flips), and the flip
-// must reach a primary output.
-func (e *Engine) bridgeUndet(f *fault.Fault) bool {
-	for _, va := range []uint8{1, 0} {
-		lits := []Lit{MkLit(f.Net.ID, va), MkLit(f.Other.ID, va^1)}
-		if e.conflicting(lits) {
-			continue
-		}
-		if e.reachPO(f.Net, eset{e: e, lits: lits}) {
+	s := e.scratch.Get().(*scratch)
+	defer e.scratch.Put(s)
+	s.targets.Reset(f)
+	for s.targets.Next() {
+		if e.mayDetect(s.targets.Target(), s) {
 			return false
 		}
 	}
 	return true
 }
 
-// cellAwareUndet screens a cell-aware fault: every activating input
-// assignment of the host gate must be statically unjustifiable or have
-// its output difference blocked. For dynamic (two-pattern) activations
-// the second pattern must also have at least one justifiable partner
-// for the initialization vector.
-func (e *Engine) cellAwareUndet(f *fault.Fault) bool {
-	g := f.Gate
-	beh := f.Behavior
-	if beh == nil {
-		return false
-	}
-	n := uint(1) << uint(beh.Inputs)
-
-	for a := uint(0); a < n; a++ {
-		if beh.StaticMask>>a&1 == 0 {
-			continue
+// mayDetect reports whether target t may be met: some initialisation
+// alternative is consistent, the target's literals are consistent (for a
+// host, plus the cell's good output under its assignment), and the
+// resulting difference may reach a primary output.
+func (e *Engine) mayDetect(t *fault.Target, s *scratch) bool {
+	if t.Inits != 0 {
+		init := false
+		for m := t.Inits; m != 0 && !init; m &= m - 1 {
+			s.conds = t.InitConds(s.conds[:0], uint(bits.TrailingZeros64(m)))
+			init = !e.conflicting(s.litsOf(s.conds))
 		}
-		if e.hostActivates(g, a) {
+		if !init {
 			return false
 		}
 	}
-	for a2 := uint(0); a2 < n; a2++ {
-		anyPair := false
-		for a1 := uint(0); a1 < n; a1++ {
-			if uint(len(beh.PairMask)) > a1 && beh.PairMask[a1]>>a2&1 == 1 &&
-				!e.conflicting(e.hostLits(g, a1, false)) {
-				anyPair = true
-				break
-			}
-		}
-		if !anyPair {
-			continue
-		}
-		if e.hostActivates(g, a2) {
-			return false
-		}
+	lits := s.litsOf(t.Conds)
+	if t.Effect == fault.EffectHost {
+		lits = append(lits, MkLit(t.Gate.Out.ID, t.Gate.Type.TT.Eval(t.Asg)))
+		s.lits = lits
 	}
-	return true
-}
-
-// hostLits returns the good-circuit literals forced by driving the host
-// gate's inputs to assignment a; withOut additionally includes the
-// implied output literal (the cell's truth-table response).
-func (e *Engine) hostLits(g *netlist.Gate, a uint, withOut bool) []Lit {
-	lits := make([]Lit, 0, len(g.Fanin)+1)
-	for i, in := range g.Fanin {
-		lits = append(lits, MkLit(in.ID, uint8(a>>uint(i)&1)))
-	}
-	if withOut {
-		lits = append(lits, MkLit(g.Out.ID, g.Type.TT.Eval(a)))
-	}
-	return lits
-}
-
-// hostActivates reports whether host assignment a could be justified
-// with the resulting output difference reaching a primary output.
-func (e *Engine) hostActivates(g *netlist.Gate, a uint) bool {
-	lits := e.hostLits(g, a, true)
 	if e.conflicting(lits) {
 		return false
 	}
-	return e.reachPO(g.Out, eset{e: e, lits: lits})
+	E := eset{e: e, lits: lits}
+	if t.Effect == fault.EffectBranch {
+		return e.reachPOFromGate(t.Gate, t.Pin, E, s)
+	}
+	return e.reachPO(t.Site(), E, s)
 }
 
 // conflicting reports whether the conjunction of lits is statically
@@ -176,16 +108,16 @@ func (s eset) has(l Lit) bool {
 // reachPO reports whether a fault difference originating at the stem
 // net origin could reach a primary output under excitation
 // consequences E.
-func (e *Engine) reachPO(origin *netlist.Net, E eset) bool {
+func (e *Engine) reachPO(origin *netlist.Net, E eset, s *scratch) bool {
 	if origin.IsPO {
 		return true
 	}
-	return e.bfs(origin, e.cone(origin.ID), E)
+	return e.bfs(origin, e.cone(origin.ID), E, s)
 }
 
 // reachPOFromGate is the branch-fault variant: the difference enters
 // the circuit only through pin `pin` of gate g.
-func (e *Engine) reachPOFromGate(g *netlist.Gate, pin int, E eset) bool {
+func (e *Engine) reachPOFromGate(g *netlist.Gate, pin int, E eset, s *scratch) bool {
 	cone := e.cone(g.Out.ID)
 	if !e.edgePasses(g, pin, cone, E) {
 		return false
@@ -193,21 +125,34 @@ func (e *Engine) reachPOFromGate(g *netlist.Gate, pin int, E eset) bool {
 	if g.Out.IsPO {
 		return true
 	}
-	return e.bfs(g.Out, cone, E)
+	return e.bfs(g.Out, cone, E, s)
 }
 
-// scratch is one query's working memory: the BFS queue and the reached
-// marks. A net is reached when its stamp equals the current epoch, so a
-// new query forgets every mark by bumping the epoch instead of clearing.
+// scratch is one query's working memory: the fault's target iterator,
+// the condition and literal buffers, and the BFS queue and reached marks.
+// A net is reached when its stamp equals the current epoch, so a new BFS
+// forgets every mark by bumping the epoch instead of clearing.
 type scratch struct {
-	stamp []uint32
-	epoch uint32
-	queue []int32
+	targets fault.Targets
+	conds   []fault.Cond
+	lits    []Lit
+	stamp   []uint32
+	epoch   uint32
+	queue   []int32
 }
 
-// begin starts a query with no net reached. When the epoch counter wraps,
-// the stamps are cleared, so a stamp left from 2^32 queries ago cannot
-// equal the reused epoch.
+// litsOf fills the literal buffer with the literals of conds.
+func (s *scratch) litsOf(conds []fault.Cond) []Lit {
+	s.lits = s.lits[:0]
+	for _, c := range conds {
+		s.lits = append(s.lits, MkLit(c.Net.ID, c.Val))
+	}
+	return s.lits
+}
+
+// begin starts a BFS with no net reached. When the epoch counter wraps,
+// the stamps are cleared, so a stamp left from 2^32 BFSs ago cannot equal
+// the reused epoch.
 func (s *scratch) begin() {
 	s.epoch++
 	if s.epoch == 0 {
@@ -231,9 +176,7 @@ func (s *scratch) visit(net int) {
 // any primary output is reachable. cone is the fanout cone of the
 // fault's origin: the nets whose faulty value may differ from the good
 // value.
-func (e *Engine) bfs(start *netlist.Net, cone []uint64, E eset) bool {
-	s := e.scratch.Get().(*scratch)
-	defer e.scratch.Put(s)
+func (e *Engine) bfs(start *netlist.Net, cone []uint64, E eset, s *scratch) bool {
 	s.begin()
 	s.visit(start.ID)
 	for head := 0; head < len(s.queue); head++ {

@@ -55,10 +55,9 @@ func TestTablesGolden(t *testing.T) {
 	b.WriteString(TableIIOrigRow("aes_core", m) + "\n")
 	b.WriteString(PerfRow("aes_core", 4, 12.345, 0.873, 1545, 1312, 407, 0, 53, 1284) + "\n")
 	// Zero lookups (verdict cache disabled): the cache column must read
-	// n/a, not a fake 0.0% hit rate. Likewise staticProven < 0 renders
-	// "static off" — the screen disabled, not a zero-yield screen. A
-	// quarantined fault still shows in the aborted count.
-	b.WriteString(PerfRow("aes_core", 4, 12.345, 0, 0, 0, -1, 1, 0, 0) + "\n")
+	// n/a, not a fake 0.0% hit rate. A quarantined fault still shows in
+	// the aborted count.
+	b.WriteString(PerfRow("aes_core", 4, 12.345, 0, 0, 0, 12, 1, 0, 0) + "\n")
 	// A screen/tier that ran but had nothing to do still reports zeros.
 	b.WriteString(PerfRow("aes_core", 4, 12.345, 0, 0, 0, 0, 0, 0, 0) + "\n")
 	b.WriteString(ResilienceRow("aes_core", 12, 1, 3, 5) + "\n")

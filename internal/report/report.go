@@ -63,9 +63,7 @@ func TableIIResynRow(r *resyn.Result, rtime float64) string {
 // searches, which is exactly the number of complete searches (each with
 // its backtrack tail) the screen avoided. With zero lookups — the verdict
 // cache disabled or never consulted — the cache column reads "n/a"
-// instead of a misleading 0.0% hit rate; likewise the static column reads
-// "off" when the screen is disabled (staticProven < 0) rather than
-// conflating "off" with "nothing proven". The aborted count and the SAT
+// instead of a misleading 0.0% hit rate. The aborted count and the SAT
 // escalation tier's work (escalations and solver conflicts) round out the
 // row: together they show whether hard faults were left unproven or
 // escalated to a definitive verdict. Plain parameters keep the formatting
@@ -76,12 +74,8 @@ func PerfRow(name string, workers int, atpgSeconds, hitRate float64, lookups, en
 	if lookups > 0 {
 		cache = fmt.Sprintf("cache %5.1f%% of %d lookups, %d entries", 100*hitRate, lookups, entries)
 	}
-	static := "static off"
-	if staticProven >= 0 {
-		static = fmt.Sprintf("static %d proved/0-search", staticProven)
-	}
-	return fmt.Sprintf("%-12s perf  workers=%-3d atpg=%8.3fs  %s  %s  aborted=%d  sat %d esc/%d conf",
-		name, workers, atpgSeconds, cache, static, aborted, satEscalations, satConflicts)
+	return fmt.Sprintf("%-12s perf  workers=%-3d atpg=%8.3fs  %s  static %d proved/0-search  aborted=%d  sat %d esc/%d conf",
+		name, workers, atpgSeconds, cache, staticProven, aborted, satEscalations, satConflicts)
 }
 
 // ResilienceRow renders what a run survived: worker panics recovered by
@@ -100,7 +94,7 @@ func ResilienceRow(name string, recovered, quarantined int, corrupt uint64, repl
 // breakdowns are pure functions of (circuit, configuration) — the orig
 // analysis runs cacheless and the signoff bypasses the cache — so prov rows
 // are identical across worker counts, resumes and chaos injection; they
-// shift only when a tier is reconfigured (-staticproof).
+// shift only when a tier is reconfigured.
 func ProvRow(name, which string, t obs.TierCounts) string {
 	return fmt.Sprintf("%-12s prov  %-5s cache=%-4d implic=%-4d collateral=%-4d podem=%-4d sat=%-4d sat-memo=%d",
 		name, which, t.Cache, t.Implic, t.Collateral, t.Podem, t.SAT, t.SATMemo)

@@ -100,9 +100,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // value returns the current value of literal l.
 func (s *Solver) value(l Lit) int8 {
 	v := s.assign[l.Var()]

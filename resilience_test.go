@@ -18,7 +18,6 @@ import (
 	"dfmresyn/internal/fcache"
 	"dfmresyn/internal/flow"
 	"dfmresyn/internal/geom"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/report"
 	"dfmresyn/internal/resilience"
 	"dfmresyn/internal/resyn"
@@ -189,7 +188,7 @@ func TestChaosQuarantine(t *testing.T) {
 	// The static screen proves away most of wb_conmax's searches, which
 	// starves a 2% per-search injection of targets; quarantine is about
 	// the search path, so give the injector the full search population.
-	env2.StaticProof = implic.ModeOff
+	env2.ATPG.Static = false
 	env2.ATPG.InjectPanic = chaos.StubbornPanics(77, 0.02)
 	c2 := bench.MustBuild(name, env2.Lib)
 	d, err := env2.Analyze(c2, geom.Rect{})

@@ -1,9 +1,9 @@
-// Differential harness for the static implication screen: with
-// -staticproof on, every number the pipeline reports must stay
-// byte-identical to a screen-off run — the screen may only remove
-// searches whose outcome (ProvenImpossible) it already knows, never
-// change a verdict, a test vector, or a table column. This is the
-// soundness gate behind making ModeScreen the flow default.
+// Differential harness for the static implication screen: with the
+// screen on, every number the pipeline reports must stay byte-identical
+// to a screen-off run — the screen may only remove searches whose outcome
+// (ProvenImpossible) it already knows, never change a verdict, a test
+// vector, or a table column. This is the soundness gate behind making the
+// screen the flow default.
 package dfmresyn
 
 import (
@@ -13,19 +13,18 @@ import (
 	"dfmresyn/internal/bench"
 	"dfmresyn/internal/flow"
 	"dfmresyn/internal/geom"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/report"
 	"dfmresyn/internal/resyn"
 )
 
-func analyzeMode(t *testing.T, name string, mode implic.Mode) *flow.Design {
+func analyzeScreen(t *testing.T, name string, static bool) *flow.Design {
 	t.Helper()
 	env := flow.NewEnv()
-	env.StaticProof = mode
+	env.ATPG.Static = static
 	c := bench.MustBuild(name, env.Lib)
 	d, err := env.Analyze(c, geom.Rect{})
 	if err != nil {
-		t.Fatalf("%s (%v): %v", name, mode, err)
+		t.Fatalf("%s (static %v): %v", name, static, err)
 	}
 	return d
 }
@@ -45,14 +44,14 @@ func TestStaticProofDifferential(t *testing.T) {
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			off := analyzeMode(t, name, implic.ModeOff)
-			scr := analyzeMode(t, name, implic.ModeScreen)
+			off := analyzeScreen(t, name, false)
+			scr := analyzeScreen(t, name, true)
 			if off.Result.StaticProven != 0 {
 				t.Fatalf("screen-off run reports StaticProven=%d", off.Result.StaticProven)
 			}
 			totalProven += scr.Result.StaticProven
 			if !reflect.DeepEqual(statuses(scr), statuses(off)) {
-				t.Error("fault statuses differ between -staticproof=off and screen")
+				t.Error("fault statuses differ between screen off and on")
 			}
 			if !reflect.DeepEqual(scr.Result.Tests, off.Result.Tests) {
 				t.Errorf("test vectors differ (%d off vs %d screen)",
@@ -81,9 +80,9 @@ func TestStaticProofResynSweep(t *testing.T) {
 	for _, name := range []string{"sparc_spu", "sparc_tlu"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			run := func(mode implic.Mode) (string, string, int) {
+			run := func(static bool) (string, string, int) {
 				env := flow.NewEnv()
-				env.StaticProof = mode
+				env.ATPG.Static = static
 				c := bench.MustBuild(name, env.Lib)
 				orig, err := env.Analyze(c, geom.Rect{})
 				if err != nil {
@@ -96,8 +95,8 @@ func TestStaticProofResynSweep(t *testing.T) {
 				return report.TableIIResynRow(r, 1.0), report.Fig2Trace(r),
 					orig.Result.StaticProven + r.StaticProven
 			}
-			rowOff, traceOff, _ := run(implic.ModeOff)
-			rowScr, traceScr, proven := run(implic.ModeScreen)
+			rowOff, traceOff, _ := run(false)
+			rowScr, traceScr, proven := run(true)
 			if rowOff != rowScr {
 				t.Errorf("resyn Table II rows differ:\n  off:    %s\n  screen: %s", rowOff, rowScr)
 			}
