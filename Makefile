@@ -42,8 +42,9 @@ race:
 # twelve paper benchmarks. The next step rejects committed span-trace dumps:
 # -tracefile output belongs next to a run, not in the tree (golden trace
 # fixtures under testdata/ are exempt). The last step rejects stray
-# checkpoint journals: a *.ckpt file is a run artifact of -journal, never a
-# source file (fixtures under testdata/ are exempt).
+# checkpoint journals and their verdict logs: a *.ckpt or *.vlog file is a
+# run artifact of -journal, never a source file (fixtures under testdata/
+# are exempt).
 lint:
 	$(GO) run ./cmd/netlint examples/circuits/*.ckt
 	$(GO) run ./cmd/netlint -bench=all
@@ -52,9 +53,9 @@ lint:
 	if [ -n "$$bad" ]; then \
 		echo "committed Chrome trace dumps (delete them, they are run artifacts):"; \
 		echo "$$bad"; exit 1; fi
-	@bad="$$(git ls-files '*.ckpt' | grep -v '/testdata/' || true)"; \
+	@bad="$$(git ls-files '*.ckpt' '*.vlog' | grep -v '/testdata/' || true)"; \
 	if [ -n "$$bad" ]; then \
-		echo "committed checkpoint journals (delete them, they are run artifacts of -journal):"; \
+		echo "committed checkpoint journals or verdict logs (delete them, they are run artifacts of -journal):"; \
 		echo "$$bad"; exit 1; fi
 
 bench:
@@ -72,15 +73,18 @@ benchflow:
 # synth1k's faults, fault by fault and site-shared through a pool; synth1k's
 # PODEM searches; and the static stage: synth1k's implication closure plus
 # the screen of its DFM faults) and the flight recorder's per-verdict cost
-# (BenchmarkLedgerVerdict: encode, digest and write one ledger record)
+# (BenchmarkLedgerVerdict: encode, digest and write one ledger record),
+# and a sweep checkpoint's commit cost (BenchmarkCheckpointCommit: 500 new
+# verdicts appended to the verdict log of a cache prewarmed with 40k)
 # compile and run one iteration under the race detector, and the 10k-gate
 # tier builds and checks cleanly — so `make check` catches a bit-rotted
 # benchmark or scale circuit without paying for a full -bench run.
 bench-smoke:
 	$(GO) test -race -run 'TestScaleCircuits' \
-		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic|BenchmarkLedgerVerdict' \
+		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkGenerate|BenchmarkStatic|BenchmarkLedgerVerdict|BenchmarkCheckpointCommit' \
 		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
-		./internal/faultsim/ ./internal/atpg/ ./internal/implic/ ./internal/obs/
+		./internal/faultsim/ ./internal/atpg/ ./internal/implic/ ./internal/obs/ \
+		./internal/resyn/
 
 # The benchmark harness is a nested module (perfbench/go.mod replaces
 # dfmresyn with ../), so the root ./... builds and vets never compile it.
@@ -167,7 +171,8 @@ serve-smoke:
 
 # Short fuzz passes over every hand-rolled parser/decoder — the canonical
 # netlist reader, the exact-order checkpoint codec, the journal envelope,
-# and the sweep-checkpoint loader — and over the differential engine checks
+# the sweep-checkpoint loader (journal plus verdict log) and the verdict
+# store's segment decoder — and over the differential engine checks
 # (static implication, CNF encoding, event-driven and site-shared fault
 # simulation against the whole-circuit reference). Corpora grow under
 # -fuzztime as long as you let them run.

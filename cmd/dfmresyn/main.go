@@ -64,7 +64,7 @@ var (
 	lintMode   = flag.String("lint", "off", "static-analysis enforcement: off, warn, or strict (strict exits 2 on findings)")
 	dieSpec    = flag.String("die", "", "place into a fixed WxH die instead of the auto floorplan (e.g. 64x64); a circuit that does not fit exits 3")
 	fromVlog   = flag.String("fromverilog", "", "analyze a structural Verilog netlist file (as written by the flow's own writer) instead of a built-in circuit")
-	journal    = flag.String("journal", "", "checkpoint the sweep to this journal after every accepted iteration (resume with -resume)")
+	journal    = flag.String("journal", "", "checkpoint the sweep to this journal, and its verdicts to the log <journal>.vlog beside it, after every accepted iteration (resume with -resume)")
 	resumePath = flag.String("resume", "", "resume an interrupted sweep from this checkpoint journal (requires the same -circuit, -seed and sweep options)")
 	deadline   = flag.Duration("deadline", 0, "per-stage deadline for fault classification (e.g. 30s); expiry interrupts the run (exit 4)")
 	stopAfter  = flag.Int("stopafter", 0, "stop the sweep after N accepted iterations as a simulated kill (exit 4); with -journal the run is resumable")

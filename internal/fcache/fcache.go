@@ -24,6 +24,7 @@ package fcache
 
 import (
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 
@@ -96,13 +97,26 @@ type slot struct {
 	warm bool
 }
 
+// intact reports whether the slot passes the integrity check.
+func (s slot) intact() bool { return s.ver == EntryVersion && s.sum == checksum(s.e) }
+
 // Cache is a concurrency-safe fault-verdict cache. A single Cache is meant
 // to live for a whole resynthesis run and be shared by every ATPG invocation
 // in the q-sweep (including the pre-physical-design screens).
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]slot
-	limit   int
+	// order lists the keys in the order they were stored. A key the
+	// integrity check dropped stays listed, and stored again it is listed
+	// twice; both can only happen once epoch has advanced.
+	order []Key
+	// epoch advances whenever an entry is dropped or damaged (Lookup's
+	// integrity check, Tamper): a Mark taken before then no longer names a
+	// prefix of the cache's content.
+	epoch uint64
+	// vecs is the current chunk that stored witness vectors are copied into.
+	vecs  []uint8
+	limit int
 
 	lookups  uint64
 	hits     uint64
@@ -141,16 +155,27 @@ func (c *Cache) Instrument(tr *obs.Tracer) {
 // content of the two-pattern init vector, and the witness vector. A bit
 // flip anywhere in a stored entry changes it.
 func checksum(e Entry) uint32 {
-	var hdr [2]byte
-	hdr[0] = byte(e.Status)
+	present := 0
 	if e.Init != nil {
-		hdr[1] = 1
+		present = 1
 	}
-	sum := crc32.ChecksumIEEE(hdr[:])
+	sum := headerSums[present][byte(e.Status)]
 	sum = crc32.Update(sum, crc32.IEEETable, e.Init)
 	sum = crc32.Update(sum, crc32.IEEETable, e.Vec)
 	return sum
 }
+
+// headerSums holds the CRC-32 of every checksum header: the status byte
+// followed by the Init-presence byte. Hashing a header held on the stack
+// would move it to the heap, one allocation per checksum.
+var headerSums = func() (t [2][256]uint32) {
+	for present := range t {
+		for st := range t[present] {
+			t[present][st] = crc32.ChecksumIEEE([]byte{byte(st), byte(present)})
+		}
+	}
+	return t
+}()
 
 // Lookup returns the entry for k, if present and intact. Zero keys never
 // match. An entry that fails the integrity check — stored under a different
@@ -168,8 +193,9 @@ func (c *Cache) Lookup(k Key) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	if s.ver != EntryVersion || s.sum != checksum(s.e) {
+	if !s.intact() {
 		delete(c.entries, k)
+		c.epoch++
 		c.corrupt++
 		c.cCorrupt.Inc()
 		return Entry{}, false
@@ -190,32 +216,53 @@ func (c *Cache) Store(k Key, e Entry) {
 	c.store(k, e, false)
 }
 
-// store is the shared write path of Store and ImportWarm; warm tags the
+// store is the shared write path of Store and the imports; warm tags the
 // entry as externally sourced for Stats.WarmHits accounting.
 func (c *Cache) store(k Key, e Entry, warm bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.insert(k, e, warm)
+}
+
+// insert stores one entry under c.mu, copying its vectors into the cache's
+// own storage.
+func (c *Cache) insert(k Key, e Entry, warm bool) bool {
 	if k.Zero() {
 		return false
 	}
 	if e.Status != fault.Detected && e.Status != fault.Undetectable {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.entries[k]; dup {
 		return false
 	}
 	if len(c.entries) >= c.limit {
 		return false
 	}
-	if e.Init != nil {
-		e.Init = append([]uint8(nil), e.Init...)
-	}
-	if e.Vec != nil {
-		e.Vec = append([]uint8(nil), e.Vec...)
-	}
+	e.Init = c.copyVec(e.Init)
+	e.Vec = c.copyVec(e.Vec)
 	c.entries[k] = slot{e: e, ver: EntryVersion, sum: checksum(e), warm: warm}
+	c.order = append(c.order, k)
 	c.stores++
 	return true
+}
+
+// vecChunk is the size of the chunks witness vectors are copied into.
+const vecChunk = 64 << 10
+
+// copyVec copies a witness vector into the current chunk, so that storing an
+// entry costs no allocation of its own. An empty vector stays nil: the
+// checksum hashes whether Init is present.
+func (c *Cache) copyVec(v []uint8) []uint8 {
+	if len(v) == 0 {
+		return nil
+	}
+	if len(v) > cap(c.vecs)-len(c.vecs) {
+		c.vecs = make([]uint8, 0, max(len(v), vecChunk))
+	}
+	n := len(c.vecs)
+	c.vecs = append(c.vecs, v...)
+	return c.vecs[n:len(c.vecs):len(c.vecs)]
 }
 
 // Tamper deterministically damages a fraction of the cached entries, for
@@ -257,18 +304,22 @@ func (c *Cache) Tamper(seed int64, rate float64) int {
 		c.entries[k] = s
 		damaged++
 	}
+	if damaged > 0 {
+		c.epoch++
+	}
 	return damaged
 }
 
-// ExportedEntry is one cache entry in portable form, for journaling the
-// cache's content into a checkpoint (tier attribution in the provenance
-// ledger is cache-history-dependent, so a resumed sweep must restore the
-// cache a killed run had built, not just what replay re-derives).
+// ExportedEntry is one cache entry in portable form: what the verdict store
+// persists and a sweep checkpoint's verdict log journals, both in the record
+// codec of record.go (tier attribution in the provenance ledger is
+// cache-history-dependent, so a resumed sweep must restore the cache a
+// killed run had built, not just what replay re-derives).
 type ExportedEntry struct {
-	Key    Key          `json:"key"`
-	Status fault.Status `json:"status"`
-	Init   []uint8      `json:"init,omitempty"`
-	Vec    []uint8      `json:"vec,omitempty"`
+	Key    Key
+	Status fault.Status
+	Init   []uint8
+	Vec    []uint8
 }
 
 // Export snapshots the cache's intact entries in sorted key order — a
@@ -290,7 +341,7 @@ func (c *Cache) Export() []ExportedEntry {
 	out := make([]ExportedEntry, 0, len(keys))
 	for _, k := range keys {
 		s := c.entries[k]
-		if s.ver != EntryVersion || s.sum != checksum(s.e) {
+		if !s.intact() {
 			continue
 		}
 		out = append(out, ExportedEntry{Key: k, Status: s.e.Status, Init: s.e.Init, Vec: s.e.Vec})
@@ -298,17 +349,61 @@ func (c *Cache) Export() []ExportedEntry {
 	return out
 }
 
+// Mark is a position in a cache's store order; see Since.
+type Mark struct {
+	n     int
+	epoch uint64
+}
+
+// Mark returns the current end of the cache's store order.
+func (c *Cache) Mark() Mark {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Mark{n: len(c.order), epoch: c.epoch}
+}
+
+// Since returns the intact entries stored after m, in store order, and the
+// mark of the current end. When the cache has dropped or damaged an entry
+// since m was taken, or m is the zero Mark, the entries before m no longer
+// describe the content, so Since starts at the first entry instead and
+// reports full: entries is then the cache's whole intact content, each key
+// once. The vectors alias the cache's storage and must not be modified.
+func (c *Cache) Since(m Mark) (entries []ExportedEntry, next Mark, full bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := m.n
+	if m.epoch != c.epoch || start > len(c.order) {
+		start = 0
+	}
+	// Entries stored after a mark of the current epoch are all live and
+	// listed once. From the start, once the epoch has advanced, a key
+	// dropped and stored again is listed twice: walking backwards keeps its
+	// later position, the one its live entry was stored at.
+	var seen map[Key]bool
+	if start == 0 && c.epoch > 0 {
+		seen = make(map[Key]bool, len(c.entries))
+	}
+	entries = make([]ExportedEntry, 0, len(c.order)-start)
+	for i := len(c.order) - 1; i >= start; i-- {
+		k := c.order[i]
+		s, ok := c.entries[k]
+		if !ok || !s.intact() || seen[k] {
+			continue
+		}
+		if seen != nil {
+			seen[k] = true
+		}
+		entries = append(entries, ExportedEntry{Key: k, Status: s.e.Status, Init: s.e.Init, Vec: s.e.Vec})
+	}
+	slices.Reverse(entries)
+	return entries, Mark{n: len(c.order), epoch: c.epoch}, start == 0
+}
+
 // Import stores every exported entry under normal Store semantics (first
 // write wins, invalid statuses and overflow dropped) and returns how many
 // landed. Importing an Export of the same cache is a no-op.
 func (c *Cache) Import(entries []ExportedEntry) int {
-	n := 0
-	for _, e := range entries {
-		if c.store(e.Key, Entry{Status: e.Status, Init: e.Init, Vec: e.Vec}, false) {
-			n++
-		}
-	}
-	return n
+	return c.importAll(entries, false)
 }
 
 // ImportWarm is Import for entries sourced from a persistent verdict store:
@@ -316,9 +411,22 @@ func (c *Cache) Import(entries []ExportedEntry) int {
 // into Stats.WarmHits — the measure of how much ATPG work the shared store
 // saved this process. Returns how many entries landed.
 func (c *Cache) ImportWarm(entries []ExportedEntry) int {
+	return c.importAll(entries, true)
+}
+
+// importAll stores entries in their order under one hold of the lock. An
+// import into an empty cache, a prewarm or a resumed sweep's verdict log,
+// first sizes the map for all of them.
+func (c *Cache) importAll(entries []ExportedEntry, warm bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) == 0 && len(entries) > 0 {
+		c.entries = make(map[Key]slot, len(entries))
+		c.order = slices.Grow(c.order, len(entries))
+	}
 	n := 0
 	for _, e := range entries {
-		if c.store(e.Key, Entry{Status: e.Status, Init: e.Init, Vec: e.Vec}, true) {
+		if c.insert(e.Key, Entry{Status: e.Status, Init: e.Init, Vec: e.Vec}, warm) {
 			n++
 		}
 	}

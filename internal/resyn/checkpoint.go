@@ -1,9 +1,12 @@
 package resyn
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"dfmresyn/internal/fcache"
@@ -28,6 +31,19 @@ import (
 // rng from the env seed per candidate, so there is no long-lived RNG
 // cursor to snapshot.
 //
+// The one exception is the verdict cache, whose content depends on every
+// analysis the run made, rejected candidates included. It lives in a
+// verdict log beside the journal: the cache's entries in store order, in
+// fcache's record codec, append-only. Each commit appends the verdicts
+// stored since the previous commit and fsyncs them, and only then replaces
+// the journal, which names the log and the length and CRC-32 of the prefix
+// it vouches for. A crash between the two leaves bytes past that prefix,
+// which the loader ignores and a resume cuts off before appending again. If
+// the cache dropped or damaged an entry that the log already holds, the
+// commit writes the whole cache into a new log under the journal's other
+// log name instead, and the previous log is deleted once the journal naming
+// the new one has landed.
+//
 // Resume replays the chain — re-parsing and re-analyzing each committed
 // circuit incrementally from its predecessor, exactly as the original run
 // analyzed it — then re-enters the sweep loops at the journaled (q, phase,
@@ -41,7 +57,7 @@ import (
 // silently resuming wrong state.
 const (
 	checkpointKind    = "resyn-sweep"
-	checkpointVersion = 2 // v2: CacheEntries journals the fault-verdict cache
+	checkpointVersion = 3 // v3: the verdict cache lives in a verdict log beside the journal
 )
 
 // commitRecord journals one accepted iteration: where in the sweep it
@@ -120,13 +136,147 @@ type Checkpoint struct {
 	// Commits is the full accepted-iteration chain, oldest first.
 	Commits []commitRecord `json:"commits"`
 
-	// CacheEntries journals the fault-verdict cache content at commit time
-	// (sorted key order). Replay alone under-populates the cache — it skips
-	// the rejected candidates' analyses and the internal screens the killed
-	// run performed — and provenance tier attribution is cache-history-
-	// dependent, so the continuation imports this before replaying: its
-	// ledger records then continue the killed run's byte for byte.
-	CacheEntries []fcache.ExportedEntry `json:"cacheEntries,omitempty"`
+	// VerdictLog names the sweep's verdict log, a file in the journal's
+	// directory. LogBytes and LogCRC are the length and CRC-32 of the log
+	// prefix this journal vouches for, which holds the fault-verdict cache's
+	// content at commit time. Replay alone under-populates the cache — it
+	// skips the rejected candidates' analyses and the internal screens the
+	// killed run performed — and provenance tier attribution is cache-
+	// history-dependent, so the continuation imports these verdicts before
+	// replaying: its ledger records then continue the killed run's byte for
+	// byte.
+	VerdictLog string `json:"verdictLog"`
+	LogBytes   int64  `json:"logBytes"`
+	LogCRC     uint32 `json:"logCRC"`
+
+	// verdicts are the entries decoded from the log prefix, and logPath the
+	// log's path; LoadCheckpoint fills both.
+	verdicts []fcache.ExportedEntry
+	logPath  string
+}
+
+// logNames returns the two file names a journal's verdict log takes: a new
+// log always goes under the one the current log does not use, so the log
+// the last journal names stays intact until a journal naming the new one
+// replaces it.
+func logNames(journal string) [2]string {
+	j := filepath.Clean(journal)
+	return [2]string{j + ".vlog", j + ".1.vlog"}
+}
+
+// otherLog returns the journal's log name that is not path.
+func otherLog(journal, path string) string {
+	names := logNames(journal)
+	if path == names[0] {
+		return names[1]
+	}
+	return names[0]
+}
+
+// RemoveCheckpoint deletes a sweep journal and its verdict logs. Files that
+// do not exist are not an error.
+func RemoveCheckpoint(path string) error {
+	names := logNames(path)
+	var errs []error
+	for _, p := range []string{path, names[0], names[1]} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// verdictLog is the writing side of a sweep's verdict log.
+type verdictLog struct {
+	f    *os.File
+	path string
+	size int64       // bytes written and fsynced
+	crc  uint32      // CRC-32 of those bytes
+	mark fcache.Mark // the end of the cache content the log holds
+	buf  []byte      // encode buffer, reused across commits
+}
+
+// logChunk bounds the encode buffer: records are written in chunks of
+// about this size.
+const logChunk = 256 << 10
+
+// restart begins a new, empty log under the journal's log name the current
+// log does not use.
+func (l *verdictLog) restart(journal string) error {
+	path := otherLog(journal, l.path)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("resyn: verdict log: %w", err)
+	}
+	l.close()
+	l.f, l.path, l.size, l.crc = f, path, 0, 0
+	return nil
+}
+
+// sync brings the log up to the cache's content: it appends the entries
+// stored since the last call, or — at a fresh run's first commit, or after
+// the cache dropped or damaged an entry an older record holds — writes the
+// whole content into a new log. The bytes are fsynced before it returns, so
+// a journal written afterwards only ever names durable bytes. It returns
+// how many records it wrote and whether it started a new log.
+func (l *verdictLog) sync(journal string, c *fcache.Cache) (records int, restarted bool, err error) {
+	entries, next, full := c.Since(l.mark)
+	if full {
+		if err := l.restart(journal); err != nil {
+			return 0, false, err
+		}
+	}
+	size, crc := l.size, l.crc
+	buf := l.buf[:0]
+	for i, e := range entries {
+		buf = fcache.AppendRecord(buf, e)
+		if len(buf) < logChunk && i < len(entries)-1 {
+			continue
+		}
+		if _, err := l.f.Write(buf); err != nil {
+			return 0, false, fmt.Errorf("resyn: verdict log: %w", err)
+		}
+		size += int64(len(buf))
+		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		buf = buf[:0]
+	}
+	l.buf = buf
+	if err := l.f.Sync(); err != nil {
+		return 0, false, fmt.Errorf("resyn: verdict log: %w", err)
+	}
+	l.size, l.crc, l.mark = size, crc, next
+	return len(entries), full, nil
+}
+
+// resume continues the log a loaded checkpoint names, if it is one of this
+// journal's logs and the cache, after importing it, holds exactly its keys:
+// the file is cut back to the journaled prefix — bytes past it come from a
+// commit whose journal never landed — and later commits append after it.
+// Otherwise the log stays closed and the first commit starts a new one.
+func (l *verdictLog) resume(ck *Checkpoint, journal string, c *fcache.Cache) error {
+	names := logNames(journal)
+	if (ck.logPath != names[0] && ck.logPath != names[1]) || c.Len() != len(ck.verdicts) {
+		return nil
+	}
+	f, err := os.OpenFile(ck.logPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("resyn: resume verdict log: %w", err)
+	}
+	if err := f.Truncate(ck.LogBytes); err != nil {
+		f.Close()
+		return fmt.Errorf("resyn: resume verdict log: %w", err)
+	}
+	l.close()
+	l.f, l.path, l.size, l.crc, l.mark = f, ck.logPath, ck.LogBytes, ck.LogCRC, c.Mark()
+	return nil
+}
+
+// close releases the log file; the bytes that matter are already synced.
+func (l *verdictLog) close() {
+	if l.f != nil {
+		l.f.Close()
+		l.f = nil
+	}
 }
 
 // circuitText serializes a circuit with the exact-order codec.
@@ -155,6 +305,11 @@ func (s *state) writeCheckpoint(phase, iter int, p2 float64) error {
 	if err != nil {
 		return err
 	}
+	records, restarted, err := s.vlog.sync(s.opt.Journal, s.env.FaultCache)
+	if err != nil {
+		return err
+	}
+	s.env.Obs.Counter("resyn/verdicts_journaled").Add(int64(records))
 	ck := &Checkpoint{
 		CircuitName:       s.orig.C.Name,
 		OrigCRC:           crc,
@@ -168,11 +323,20 @@ func (s *state) writeCheckpoint(phase, iter int, p2 float64) error {
 		ConstraintBlocked: s.constraintBlocked,
 		Gen:               s.gen,
 		Commits:           s.commits,
+		VerdictLog:        filepath.Base(s.vlog.path),
+		LogBytes:          s.vlog.size,
+		LogCRC:            s.vlog.crc,
 	}
-	if s.env.FaultCache != nil {
-		ck.CacheEntries = s.env.FaultCache.Export()
+	if err := resilience.WriteJournal(s.opt.Journal, checkpointKind, checkpointVersion, ck); err != nil {
+		return err
 	}
-	return resilience.WriteJournal(s.opt.Journal, checkpointKind, checkpointVersion, ck)
+	if restarted {
+		// The journal names the new log now. The other name holds the log
+		// the previous journal named, or a leftover of an earlier run; if
+		// the removal fails, the next restart truncates it anyway.
+		_ = os.Remove(otherLog(s.opt.Journal, s.vlog.path))
+	}
+	return nil
 }
 
 // decodeCheckpoint validates a journal's framing and its structural
@@ -213,18 +377,57 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// LoadCheckpoint reads and validates a sweep journal. The error
-// distinguishes damage (resilience.ErrCorrupt), a foreign journal kind
+// decodeWithLog decodes a journal and then the verdict log it names, read
+// through readLog: the log must hold the journaled prefix in full, match its
+// CRC-32, and decode into intact records end to end. Bytes past the prefix
+// are ignored. Every failure wraps resilience.ErrCorrupt.
+func decodeWithLog(data []byte, readLog func(name string) ([]byte, error)) (*Checkpoint, error) {
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	name := ck.VerdictLog
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return nil, fmt.Errorf("%w: verdict log name %q is not a file name", resilience.ErrCorrupt, name)
+	}
+	log, err := readLog(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: verdict log: %v", resilience.ErrCorrupt, err)
+	}
+	if ck.LogBytes < 0 || ck.LogBytes > int64(len(log)) {
+		return nil, fmt.Errorf("%w: verdict log %s is %d bytes, the journal vouches for %d",
+			resilience.ErrCorrupt, name, len(log), ck.LogBytes)
+	}
+	prefix := log[:ck.LogBytes]
+	if sum := crc32.ChecksumIEEE(prefix); sum != ck.LogCRC {
+		return nil, fmt.Errorf("%w: verdict log %s prefix checksum %08x, journal says %08x",
+			resilience.ErrCorrupt, name, sum, ck.LogCRC)
+	}
+	entries, good := fcache.DecodeRecords(prefix)
+	if good != len(prefix) {
+		return nil, fmt.Errorf("%w: verdict log %s has a damaged record at byte %d", resilience.ErrCorrupt, name, good)
+	}
+	ck.verdicts = entries
+	return ck, nil
+}
+
+// LoadCheckpoint reads and validates a sweep journal and the verdict log
+// prefix it names. The error distinguishes damage (resilience.ErrCorrupt,
+// also for a missing, short or altered log), a foreign journal kind
 // (resilience.ErrKind), and a schema mismatch (resilience.ErrVersion).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("resyn: load checkpoint: %w", err)
 	}
-	ck, err := decodeCheckpoint(data)
+	dir := filepath.Dir(path)
+	ck, err := decodeWithLog(data, func(name string) ([]byte, error) {
+		return os.ReadFile(filepath.Join(dir, name))
+	})
 	if err != nil {
 		return nil, fmt.Errorf("resyn: load checkpoint %s: %w", path, err)
 	}
+	ck.logPath = filepath.Join(dir, ck.VerdictLog)
 	return ck, nil
 }
 
@@ -289,9 +492,10 @@ func (s *state) replay(ck *Checkpoint) error {
 	// not the rejected candidates' or the internal screens', and provenance
 	// tier attribution downstream depends on exactly which verdicts are
 	// cached. First-write-wins Store semantics make the import idempotent.
-	if s.env.FaultCache != nil && len(ck.CacheEntries) > 0 {
-		n := s.env.FaultCache.Import(ck.CacheEntries)
-		s.env.Obs.Counter("resyn/cache_entries_imported").Add(int64(n))
+	n := s.env.FaultCache.Import(ck.verdicts)
+	s.env.Obs.Counter("resyn/cache_entries_imported").Add(int64(n))
+	if err := s.vlog.resume(ck, s.opt.Journal, s.env.FaultCache); err != nil {
+		return err
 	}
 	// The ledger stays silent for the whole replayed prefix: the killed
 	// run already emitted those records, so the resumed run's ledger must

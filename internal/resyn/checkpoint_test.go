@@ -1,9 +1,13 @@
 package resyn
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 
+	"dfmresyn/internal/fault"
+	"dfmresyn/internal/fcache"
 	"dfmresyn/internal/resilience"
 )
 
@@ -82,26 +86,57 @@ func TestDecodeCheckpointForeignJournal(t *testing.T) {
 	if _, err := decodeCheckpoint(future); !errors.Is(err, resilience.ErrVersion) {
 		t.Errorf("future version: %v, want ErrVersion", err)
 	}
+	// v2 carried the verdict cache inline; it is refused, not misread.
+	v2, err := resilience.Encode(checkpointKind, 2, validCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeCheckpoint(v2); !errors.Is(err, resilience.ErrVersion) {
+		t.Errorf("v2 journal: %v, want ErrVersion", err)
+	}
+}
+
+// validLog returns a verdict log of a few verdicts and a journal of
+// validCheckpoint that vouches for all of it.
+func validLog(t testing.TB) (journal, log []byte) {
+	for i := 0; i < 4; i++ {
+		e := fcache.ExportedEntry{Key: fcache.Key{uint64(i) + 1, 7}, Status: fault.Undetectable}
+		if i%2 == 0 {
+			e.Status, e.Vec = fault.Detected, []uint8{1, 0, uint8(i)}
+		}
+		log = fcache.AppendRecord(log, e)
+	}
+	ck := validCheckpoint()
+	ck.VerdictLog, ck.LogBytes, ck.LogCRC = "sweep.ckpt.vlog", int64(len(log)), crc32.ChecksumIEEE(log)
+	journal, err := resilience.Encode(checkpointKind, checkpointVersion, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journal, log
 }
 
 // FuzzCheckpointDecode: truncations, bit flips, version bumps and arbitrary
-// garbage must never panic the loader and must never yield a checkpoint
-// that violates the invariants Resume depends on — a clean error every
-// time, or a structurally consistent checkpoint.
+// garbage, in the journal or in the verdict log it names, must never panic
+// the loader and must never yield a checkpoint that violates the invariants
+// Resume depends on — a clean error every time, or a structurally
+// consistent checkpoint whose verdicts re-encode to exactly the log prefix
+// the journal vouches for.
 func FuzzCheckpointDecode(f *testing.F) {
-	good, err := resilience.Encode(checkpointKind, checkpointVersion, validCheckpoint())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(good[:len(good)/2])
+	good, log := validLog(f)
+	f.Add(good, log)
+	f.Add(good[:len(good)/2], log)
 	flipped := append([]byte{}, good...)
 	flipped[len(flipped)-5] ^= 0x20
-	f.Add(flipped)
-	f.Add([]byte("dfmresyn-journal v99 resyn-sweep 2 00000000\n{}"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
+	f.Add(flipped, log)
+	f.Add([]byte("dfmresyn-journal v99 resyn-sweep 2 00000000\n{}"), log)
+	f.Add([]byte(""), []byte(""))
+	f.Add(good, log[:len(log)-1])
+	flippedLog := append([]byte{}, log...)
+	flippedLog[len(flippedLog)/2] ^= 0x04
+	f.Add(good, flippedLog)
+	f.Add(good, append(append([]byte{}, log...), 0xd5, 0x1e, 0x02))
+	f.Fuzz(func(t *testing.T, data, log []byte) {
+		ck, err := decodeWithLog(data, func(string) ([]byte, error) { return log, nil })
 		if err != nil {
 			if !errors.Is(err, resilience.ErrCorrupt) &&
 				!errors.Is(err, resilience.ErrKind) &&
@@ -119,6 +154,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 		last := ck.Commits[len(ck.Commits)-1]
 		if last.Iter != ck.NextIter-1 {
 			t.Fatal("accepted checkpoint whose position disagrees with its last commit")
+		}
+		if ck.LogBytes < 0 || ck.LogBytes > int64(len(log)) {
+			t.Fatalf("accepted a %d-byte prefix of a %d-byte log", ck.LogBytes, len(log))
+		}
+		var again []byte
+		for _, e := range ck.verdicts {
+			again = fcache.AppendRecord(again, e)
+		}
+		if !bytes.Equal(again, log[:ck.LogBytes]) {
+			t.Fatal("accepted verdicts do not re-encode to the journaled log prefix")
 		}
 	})
 }

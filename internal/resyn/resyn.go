@@ -255,6 +255,8 @@ type state struct {
 	// records first on a resumed run — and is what each checkpoint
 	// journals. Only populated when opt.Journal is set.
 	commits []commitRecord
+	// vlog is the checkpoints' verdict log.
+	vlog verdictLog
 }
 
 // curUInt returns the cached undetectable-internal count of the current
@@ -321,6 +323,7 @@ func runSweep(env *flow.Env, orig *flow.Design, opt Options, ck *Checkpoint) (*R
 			return float64(env.Prof.InternalFaultCount(cell))
 		})
 	}
+	defer s.vlog.close()
 	spRun := obs.Start(env.Obs, "resyn/sweep", obs.Int("gates", len(orig.C.Gates)))
 	defer spRun.End()
 	// Seed the trajectory with the original design so the exported series
@@ -761,12 +764,18 @@ func (s *state) commit(d *flow.Design, phase, iter int, p2 float64, cellName str
 			return
 		}
 		s.env.Obs.Counter("resyn/checkpoints_written").Inc()
+		if testHookCheckpoint != nil {
+			testHookCheckpoint(s)
+		}
 	}
 	if s.opt.StopAfterCommits > 0 && len(s.res.Trace) >= s.opt.StopAfterCommits {
 		s.stopped = fmt.Errorf("resyn: stopped after %d accepted iterations (simulated kill): %w",
 			len(s.res.Trace), resilience.ErrInterrupted)
 	}
 }
+
+// testHookCheckpoint, when set by a test, runs after every checkpoint write.
+var testHookCheckpoint func(*state)
 
 // recordCommit performs the bookkeeping shared by a live commit and a
 // journal replay: install the design as current and append the trace and

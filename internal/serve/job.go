@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -320,10 +321,12 @@ func (s *Server) prepareResumeLedger(id string, k int) (nextSeg int, kept []obs.
 	return 0, nil, false
 }
 
-// removeJobArtifacts deletes a job's checkpoint and ledger segments (the
-// fresh-run reset).
+// removeJobArtifacts deletes a job's checkpoint, its verdict logs and its
+// ledger segments (the fresh-run reset).
 func (s *Server) removeJobArtifacts(id string) {
-	os.Remove(s.ckptPath(id))
+	// Best effort: the fresh run's first commit overwrites a checkpoint and
+	// truncates a verdict log left behind.
+	_ = resyn.RemoveCheckpoint(s.ckptPath(id))
 	for _, seg := range s.ledgerSegments(id) {
 		os.Remove(seg)
 	}
@@ -357,6 +360,10 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 
 	ck, ckErr := resyn.LoadCheckpoint(ckpt)
 	resumed := ckErr == nil
+	if ckErr != nil && !errors.Is(ckErr, fs.ErrNotExist) {
+		// A damaged journal or verdict log: rerun from scratch.
+		s.tracer.Counter("serve/resume_fallbacks").Inc()
+	}
 	nextSeg := 1
 	var kept []obs.LedgerRecord
 	if resumed {
@@ -377,15 +384,20 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	cache := fcache.New()
 	env.FaultCache = cache
 	prewarmed := 0
+	// own marks where the job's own verdicts begin in the cache's store
+	// order: after the prewarmed ones on a fresh run, at the start on a
+	// resume, whose imported verdict log holds the killed run's verdicts.
+	var own fcache.Mark
 	if !resumed {
 		// Fresh run: seed the verdict cache from the shared store. On an
 		// empty store this is a free no-op, so the first job in a fresh
 		// data directory — the uninterrupted baseline the digest tests
 		// compare against — is bit-for-bit the storeless run.
 		prewarmed = s.store.Prewarm(cache)
+		own = cache.Mark()
 		s.tracer.Counter("serve/prewarmed_entries").Add(int64(prewarmed))
 	}
-	// On resume the checkpoint's journaled CacheEntries are the
+	// On resume the verdicts in the checkpoint's verdict log are the
 	// authoritative warm state (resyn.Resume imports them before replay);
 	// prewarming from the since-grown store instead would change tier
 	// attribution and break ledger-digest identity with the killed run.
@@ -466,14 +478,19 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	if err := detach(); err != nil {
 		return nil, fmt.Errorf("serve: ledger: %w", err)
 	}
-	if added, merr := s.store.Merge(cache.Export()); merr != nil {
+	// Only the verdicts the job stored itself go to the store, in store
+	// order. If the integrity check dropped an entry meanwhile, Since
+	// returns the whole cache and Merge skips what the store already holds.
+	mine, _, _ := cache.Since(own)
+	if added, merr := s.store.Merge(mine); merr != nil {
 		// The job's own result is sound; a store append failure only
 		// costs future warmth. Record it and move on.
 		s.tracer.Counter("serve/store_merge_errors").Inc()
 	} else {
 		s.tracer.Counter("serve/store_appended").Add(int64(added))
 	}
-	os.Remove(ckpt)
+	// Best effort: nothing resumes a done job, so a leftover only costs disk.
+	_ = resyn.RemoveCheckpoint(ckpt)
 
 	m := res.Final.Metrics()
 	return &JobResult{

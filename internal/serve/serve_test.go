@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dfmresyn/internal/obs"
+	"dfmresyn/internal/resyn"
 )
 
 // testSpec is the suite's workhorse: sparc_spu is the fastest benchmark
@@ -429,5 +430,117 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if resp, _ := post(`{"bench":"sparc_spu","name":"late"}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-drain submission = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestWarmStoreResumeDigestIdentity: resume identity on a warm store. The
+// store first holds a completed job's verdicts (sparc_spu, seed 2, MaxQ 3);
+// a seed-1 job then prewarms from it, is stopped after one commit and is
+// resumed by a restarted server. Its digest must equal the same spec run
+// uninterrupted on the same store content — the verdict log must carry the
+// prewarmed verdicts across the kill.
+func TestWarmStoreResumeDigestIdentity(t *testing.T) {
+	warm := JobSpec{Name: "warm", Bench: "sparc_spu", Seed: 2, MaxQ: 3}
+	spec := testSpec("probe")
+
+	base := newServer(t, Options{Slots: 1})
+	waitState(t, submit(t, base, warm), StateDone)
+	bv := waitState(t, submit(t, base, spec), StateDone)
+	if bv.Result.Prewarmed == 0 {
+		t.Fatal("the probe prewarmed nothing; the store was not warm")
+	}
+
+	dir := t.TempDir()
+	s1 := newServer(t, Options{DataDir: dir, Slots: 1})
+	waitState(t, submit(t, s1, warm), StateDone)
+	killed := spec
+	killed.StopAfterCommits = 1
+	j := submit(t, s1, killed)
+	waitState(t, j, StateInterrupted)
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServer(t, Options{DataDir: dir, Slots: 1})
+	j2, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatal("restarted server forgot the interrupted job")
+	}
+	rv := waitState(t, j2, StateDone)
+	if !rv.Result.Resumed {
+		t.Fatal("recovered job did not resume from its checkpoint")
+	}
+	if rv.Result.LedgerDigest != bv.Result.LedgerDigest {
+		t.Errorf("resumed digest %s != uninterrupted %s on the same warm store (%d prewarmed)",
+			rv.Result.LedgerDigest, bv.Result.LedgerDigest, bv.Result.Prewarmed)
+	}
+	checkStitchedLedger(t, s2, rv)
+	t.Logf("digest %s prewarmed %d", rv.Result.LedgerDigest, bv.Result.Prewarmed)
+}
+
+// TestVerdictLogDamage: a job stopped after one commit, whose verdict log
+// is then altered, still completes with the uninterrupted digest. Bytes
+// past the journaled prefix, as a crash between the log append and the
+// journal rename leaves them, are cut off and the job resumes. A log
+// shorter than the prefix, or with a flipped byte inside it, fails the
+// checkpoint's load, and the job falls back to a fresh run, which the
+// spec's StopAfterCommits stops again at its first commit; the next
+// resubmission resumes from that run's checkpoint.
+func TestVerdictLogDamage(t *testing.T) {
+	base := newServer(t, Options{Slots: 1})
+	golden := waitState(t, submit(t, base, testSpec("golden")), StateDone).Result.LedgerDigest
+	killed := testSpec("golden")
+	killed.StopAfterCommits = 1
+
+	for _, tc := range []struct {
+		name     string
+		damage   func([]byte) []byte
+		fallback bool
+	}{
+		{"tail past prefix", func(b []byte) []byte { return append(b, 0xd5, 0x1e, 0x02, 0xff) }, false},
+		{"short", func(b []byte) []byte { return b[:len(b)-1] }, true},
+		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x08; return b }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, Options{Slots: 1})
+			resubmit := func() {
+				t.Helper()
+				if _, admitted, err := s.Submit(killed); err != nil || !admitted {
+					t.Fatalf("resubmission: admitted=%v err=%v", admitted, err)
+				}
+			}
+			j := submit(t, s, killed)
+			waitState(t, j, StateInterrupted)
+			ck, err := resyn.LoadCheckpoint(s.ckptPath(j.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := filepath.Join(s.jobsDir, ck.VerdictLog)
+			data, err := os.ReadFile(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(log, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resubmit()
+			if tc.fallback {
+				waitState(t, j, StateInterrupted)
+				if got := s.Tracer().Counter("serve/resume_fallbacks").Get(); got != 1 {
+					t.Errorf("serve/resume_fallbacks = %d, want 1", got)
+				}
+				if _, err := resyn.LoadCheckpoint(s.ckptPath(j.ID)); err != nil {
+					t.Fatalf("the fresh run left no usable checkpoint: %v", err)
+				}
+				resubmit()
+			}
+			v := waitState(t, j, StateDone)
+			if !v.Result.Resumed {
+				t.Error("the job did not finish by resuming")
+			}
+			if v.Result.LedgerDigest != golden {
+				t.Errorf("digest %s != uninterrupted %s", v.Result.LedgerDigest, golden)
+			}
+			checkStitchedLedger(t, s, v)
+		})
 	}
 }

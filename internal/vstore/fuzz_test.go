@@ -2,6 +2,8 @@ package vstore
 
 import (
 	"testing"
+
+	"dfmresyn/internal/fcache"
 )
 
 // FuzzVstore drives the segment decoder on arbitrary bytes. Invariants: it
@@ -12,7 +14,7 @@ import (
 func FuzzVstore(f *testing.F) {
 	f.Add([]byte(segHeader))
 	f.Add([]byte("garbage"))
-	seed := appendRecord([]byte(segHeader), mkEntries(5, 1)[0])
+	seed := fcache.AppendRecord([]byte(segHeader), mkEntries(5, 1)[0])
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	flipped := append([]byte(nil), seed...)
@@ -33,7 +35,7 @@ func FuzzVstore(f *testing.F) {
 			if e.Key.Zero() {
 				t.Fatal("decoder released a zero-key entry")
 			}
-			if len(e.Init) > maxVecLen || len(e.Vec) > maxVecLen {
+			if len(e.Init) > fcache.MaxVecLen || len(e.Vec) > fcache.MaxVecLen {
 				t.Fatal("decoder released an oversized vector")
 			}
 		}

@@ -14,7 +14,8 @@
 // it only ever grows, and damage is dropped, never trusted:
 //
 //   - Every record carries a magic, explicit lengths, and a CRC-32 over its
-//     content. Decoding stops at the first damaged record and Open truncates
+//     content (fcache's record codec, which a sweep checkpoint's verdict log
+//     shares). Decoding stops at the first damaged record and Open truncates
 //     the segment back to its last intact byte — a torn tail from a crash
 //     mid-append heals on the next open, losing only the torn record(s),
 //     which the next job simply recomputes.
@@ -30,10 +31,8 @@
 package vstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,15 +47,6 @@ import (
 // version when the record layout changes: old segments then quarantine
 // instead of decoding wrong.
 const segHeader = "dfmvseg v1\n"
-
-// recMagic starts every record, so a decoder landing on damaged bytes fails
-// immediately instead of misreading lengths from garbage.
-const recMagic = uint16(0xD51E)
-
-// maxVecLen bounds the witness-vector lengths a decoder will allocate for.
-// It is far above any real circuit's PI count and low enough that a damaged
-// length field cannot balloon memory.
-const maxVecLen = 1 << 20
 
 // DefaultMaxSegBytes is the rotation bound: when the tail segment exceeds
 // it, the next Merge starts a new segment.
@@ -84,18 +74,30 @@ type Stats struct {
 }
 
 // Store is an open verdict store: the on-disk segments under one directory,
-// an in-memory key index, and the exclusive inter-process lock.
+// an in-memory copy of their entries, and the exclusive inter-process lock.
 type Store struct {
 	mu       sync.Mutex
 	dir      string
 	lock     *os.File
-	tail     *os.File // current append segment
+	tail     tailFile // current append segment
 	tailN    int      // its ordinal
-	tailSize int64
+	tailSize int64    // its size up to the last record written and synced
 	maxSeg   int64
-	entries  map[fcache.Key]fcache.ExportedEntry
-	order    []fcache.Key // insertion-ordered keys (segments are scanned sorted)
-	stats    Stats
+	// entries holds every verdict in load order: the segments in ordinal
+	// order, then this process's appends. Entries are only ever appended,
+	// and their vectors alias the segment bytes they were decoded from.
+	entries []fcache.ExportedEntry
+	keys    map[fcache.Key]struct{}
+	stats   Stats
+}
+
+// tailFile is what Merge needs of the append segment (an *os.File; tests
+// substitute one whose writes fail).
+type tailFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // Open opens (creating if needed) the store directory, takes the exclusive
@@ -124,10 +126,10 @@ func OpenLimit(dir string, maxSegBytes int64) (*Store, error) {
 		return nil, fmt.Errorf("%w (%s)", ErrLocked, dir)
 	}
 	s := &Store{
-		dir:     dir,
-		lock:    lock,
-		maxSeg:  maxSegBytes,
-		entries: make(map[fcache.Key]fcache.ExportedEntry),
+		dir:    dir,
+		lock:   lock,
+		maxSeg: maxSegBytes,
+		keys:   make(map[fcache.Key]struct{}),
 	}
 	if err := s.load(); err != nil {
 		s.Close()
@@ -214,20 +216,25 @@ func (s *Store) loadSegment(name string) error {
 		}
 	}
 	s.stats.Segments++
+	s.index(entries)
+	return nil
+}
+
+// index adds the entries whose keys the store has not seen.
+func (s *Store) index(entries []fcache.ExportedEntry) {
 	for _, e := range entries {
-		if _, dup := s.entries[e.Key]; dup {
+		if _, dup := s.keys[e.Key]; dup {
 			continue
 		}
-		s.entries[e.Key] = e
-		s.order = append(s.order, e.Key)
+		s.keys[e.Key] = struct{}{}
+		s.entries = append(s.entries, e)
 	}
-	return nil
 }
 
 // startSegment creates segment n (which must not exist) and makes it the
 // append tail.
 func (s *Store) startSegment(n int) error {
-	f, err := os.OpenFile(s.segPath(n), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(s.segPath(n), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("vstore: %w", err)
 	}
@@ -247,65 +254,6 @@ func (s *Store) startSegment(n int) error {
 	return nil
 }
 
-// appendRecord encodes one entry onto buf.
-func appendRecord(buf []byte, e fcache.ExportedEntry) []byte {
-	start := len(buf)
-	buf = binary.LittleEndian.AppendUint16(buf, recMagic)
-	buf = append(buf, byte(e.Status))
-	buf = binary.LittleEndian.AppendUint64(buf, e.Key[0])
-	buf = binary.LittleEndian.AppendUint64(buf, e.Key[1])
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Init)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Vec)))
-	buf = append(buf, e.Init...)
-	buf = append(buf, e.Vec...)
-	sum := crc32.ChecksumIEEE(buf[start:])
-	return binary.LittleEndian.AppendUint32(buf, sum)
-}
-
-// decodeRecord decodes one record at data[off:]. It returns the entry, the
-// offset just past the record, and whether the record was intact. It never
-// panics on arbitrary bytes (pinned by FuzzVstore).
-func decodeRecord(data []byte, off int) (fcache.ExportedEntry, int, bool) {
-	var e fcache.ExportedEntry
-	const fixed = 2 + 1 + 8 + 8 + 4 + 4 // magic, status, key, lengths
-	if off+fixed > len(data) {
-		return e, 0, false
-	}
-	if binary.LittleEndian.Uint16(data[off:]) != recMagic {
-		return e, 0, false
-	}
-	st := fault.Status(data[off+2])
-	if st != fault.Detected && st != fault.Undetectable {
-		return e, 0, false
-	}
-	e.Status = st
-	e.Key[0] = binary.LittleEndian.Uint64(data[off+3:])
-	e.Key[1] = binary.LittleEndian.Uint64(data[off+11:])
-	initLen := binary.LittleEndian.Uint32(data[off+19:])
-	vecLen := binary.LittleEndian.Uint32(data[off+23:])
-	if initLen > maxVecLen || vecLen > maxVecLen {
-		return e, 0, false
-	}
-	end := off + fixed + int(initLen) + int(vecLen)
-	if end+4 > len(data) {
-		return e, 0, false
-	}
-	want := binary.LittleEndian.Uint32(data[end:])
-	if crc32.ChecksumIEEE(data[off:end]) != want {
-		return e, 0, false
-	}
-	if e.Key.Zero() {
-		return e, 0, false
-	}
-	if initLen > 0 {
-		e.Init = append([]uint8(nil), data[off+fixed:off+fixed+int(initLen)]...)
-	}
-	if vecLen > 0 {
-		e.Vec = append([]uint8(nil), data[off+fixed+int(initLen):end]...)
-	}
-	return e, end + 4, true
-}
-
 // DecodeSegment decodes a segment image. ok is false when the header is not
 // this version's (the caller quarantines the file). Otherwise it returns
 // every intact record plus goodLen, the byte offset of the first damaged
@@ -316,27 +264,22 @@ func DecodeSegment(data []byte) (entries []fcache.ExportedEntry, goodLen int, ok
 	if len(data) < len(segHeader) || string(data[:len(segHeader)]) != segHeader {
 		return nil, 0, false
 	}
-	off := len(segHeader)
-	for off < len(data) {
-		e, next, recOK := decodeRecord(data, off)
-		if !recOK {
-			return entries, off, true
-		}
-		entries = append(entries, e)
-		off = next
-	}
-	return entries, off, true
+	entries, n := fcache.DecodeRecords(data[len(segHeader):])
+	return entries, len(segHeader) + n, true
 }
 
 // Merge appends every entry whose key the store has not seen, fsyncs the
 // tail, and rotates segments past the size bound. It returns how many
 // entries were appended. Entries with invalid statuses or zero keys are
-// skipped (the decoder would reject them anyway).
+// skipped (the decoder would reject them anyway). The appended entries join
+// the store's index only once they are on disk: after a failed write or
+// sync the tail is cut back to its last good size and the store is as it
+// was, so a retry appends them again.
 func (s *Store) Merge(entries []fcache.ExportedEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var buf []byte
-	added := 0
+	var batch map[fcache.Key]struct{}
 	for _, e := range entries {
 		if e.Key.Zero() {
 			continue
@@ -344,18 +287,22 @@ func (s *Store) Merge(entries []fcache.ExportedEntry) (int, error) {
 		if e.Status != fault.Detected && e.Status != fault.Undetectable {
 			continue
 		}
-		if _, dup := s.entries[e.Key]; dup {
+		if int64(len(e.Init))+int64(len(e.Vec)) > fcache.MaxVecLen {
 			continue
 		}
-		if int64(len(e.Init))+int64(len(e.Vec)) > maxVecLen {
+		if _, dup := s.keys[e.Key]; dup {
 			continue
 		}
-		buf = appendRecord(buf, e)
-		s.entries[e.Key] = e
-		s.order = append(s.order, e.Key)
-		added++
+		if _, dup := batch[e.Key]; dup {
+			continue
+		}
+		if batch == nil {
+			batch = make(map[fcache.Key]struct{})
+		}
+		batch[e.Key] = struct{}{}
+		buf = fcache.AppendRecord(buf, e)
 	}
-	if added == 0 {
+	if len(buf) == 0 {
 		return 0, nil
 	}
 	if s.tailSize > s.maxSeg {
@@ -363,42 +310,47 @@ func (s *Store) Merge(entries []fcache.ExportedEntry) (int, error) {
 			return 0, err
 		}
 	}
-	if _, err := s.tail.Write(buf); err != nil {
-		return 0, fmt.Errorf("vstore: append: %w", err)
+	if err := s.append(buf); err != nil {
+		return 0, err
 	}
-	if err := s.tail.Sync(); err != nil {
-		return 0, fmt.Errorf("vstore: sync: %w", err)
-	}
-	s.tailSize += int64(len(buf))
-	s.stats.Appended += added
-	return added, nil
+	// Index the records from the bytes just written, exactly as the next
+	// Open will load them.
+	added, _ := fcache.DecodeRecords(buf)
+	s.index(added)
+	s.stats.Appended += len(added)
+	return len(added), nil
 }
 
-// Export snapshots the store's entries in sorted key order — the same
-// deterministic order fcache.Export uses.
-func (s *Store) Export() []fcache.ExportedEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := append([]fcache.Key(nil), s.order...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]fcache.ExportedEntry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.entries[k])
+// append writes buf at the tail and fsyncs it. On failure it cuts the tail
+// back to its last good size: a torn record left in place would make the
+// next Open's healing truncate every later append together with it. If even
+// the cut fails, later appends go to a new segment instead.
+func (s *Store) append(buf []byte) error {
+	_, err := s.tail.Write(buf)
+	if err == nil {
+		err = s.tail.Sync()
 	}
-	return out
+	if err == nil {
+		s.tailSize += int64(len(buf))
+		return nil
+	}
+	if terr := s.tail.Truncate(s.tailSize); terr != nil {
+		err = errors.Join(err, terr, s.startSegment(s.tailN+1))
+	}
+	return fmt.Errorf("vstore: append: %w", err)
 }
 
 // Prewarm imports the store's entries into a verdict cache as warm entries
-// (hits on them count into fcache.Stats.WarmHits) and returns how many
-// landed. An empty store is a free no-op, so a cold fleet's first job runs
-// exactly as if no store existed.
+// (hits on them count into fcache.Stats.WarmHits), in load order, and returns
+// how many landed. An empty store is a free no-op, so a cold fleet's first
+// job runs exactly as if no store existed.
 func (s *Store) Prewarm(c *fcache.Cache) int {
-	n := c.ImportWarm(s.Export())
+	// Entries are append-only and never modified, so the prefix loaded so
+	// far can be read after the lock is released.
+	s.mu.Lock()
+	entries := s.entries[:len(s.entries):len(s.entries)]
+	s.mu.Unlock()
+	n := c.ImportWarm(entries)
 	s.mu.Lock()
 	s.stats.Prewarmed += n
 	s.mu.Unlock()
@@ -409,7 +361,7 @@ func (s *Store) Prewarm(c *fcache.Cache) int {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.keys)
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -417,7 +369,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.entries)
+	st.Entries = len(s.keys)
 	return st
 }
 
