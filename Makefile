@@ -41,10 +41,10 @@ race:
 # netlint must pass (exit 0) on every shipped circuit: the examples and the
 # twelve paper benchmarks. The next step rejects committed span-trace dumps:
 # -tracefile output belongs next to a run, not in the tree (golden trace
-# fixtures under testdata/ are exempt). The last step rejects stray
-# checkpoint journals and their verdict logs: a *.ckpt or *.vlog file is a
-# run artifact of -journal, never a source file (fixtures under testdata/
-# are exempt).
+# fixtures under testdata/ are exempt). The last step rejects stray run
+# artifacts: a *.ckpt or *.vlog file is a checkpoint journal or verdict log
+# of -journal, and a *.jsonl file a provenance ledger of -ledger or
+# dfmserve, never a source file (fixtures under testdata/ are exempt).
 lint:
 	$(GO) run ./cmd/netlint examples/circuits/*.ckt
 	$(GO) run ./cmd/netlint -bench=all
@@ -53,9 +53,9 @@ lint:
 	if [ -n "$$bad" ]; then \
 		echo "committed Chrome trace dumps (delete them, they are run artifacts):"; \
 		echo "$$bad"; exit 1; fi
-	@bad="$$(git ls-files '*.ckpt' '*.vlog' | grep -v '/testdata/' || true)"; \
+	@bad="$$(git ls-files '*.ckpt' '*.vlog' '*.jsonl' | grep -v '/testdata/' || true)"; \
 	if [ -n "$$bad" ]; then \
-		echo "committed checkpoint journals or verdict logs (delete them, they are run artifacts of -journal):"; \
+		echo "committed checkpoint journals, verdict logs or ledgers (delete them, they are run artifacts of -journal, -ledger and dfmserve):"; \
 		echo "$$bad"; exit 1; fi
 
 bench:
@@ -171,8 +171,9 @@ serve-smoke:
 
 # Short fuzz passes over every hand-rolled parser/decoder — the canonical
 # netlist reader, the exact-order checkpoint codec, the journal envelope,
-# the sweep-checkpoint loader (journal plus verdict log) and the verdict
-# store's segment decoder — and over the differential engine checks
+# the sweep-checkpoint loader (journal plus verdict log), the ledger reader
+# and its resume reader (FuzzLedger: ReadLedger and ResumeLedger) and the
+# verdict store's segment decoder — and over the differential engine checks
 # (static implication, CNF encoding, event-driven and site-shared fault
 # simulation against the whole-circuit reference). Corpora grow under
 # -fuzztime as long as you let them run.

@@ -297,6 +297,15 @@ func run() (err error) {
 		names = []string{extC.Name}
 	}
 
+	// A -resume journal is loaded once, before any analysis, so a missing
+	// or damaged one fails before the sweep's original analysis runs.
+	var ck *resyn.Checkpoint
+	if *resumePath != "" {
+		if ck, err = resyn.LoadCheckpoint(*resumePath); err != nil {
+			return err
+		}
+	}
+
 	if *table2 {
 		fmt.Println("TABLE II. EXPERIMENTAL RESULTS")
 		fmt.Println(report.TableIIHeader())
@@ -310,19 +319,25 @@ func run() (err error) {
 		}
 
 		// Rtime baseline: one synthesis + physical design + test
-		// generation pass is the original analysis itself.
+		// generation pass is the original analysis itself. A resumed run's
+		// ledger leaves it out: the killed run's ledger holds it, and the
+		// two ledgers together must read as one uninterrupted run's.
+		if ck != nil {
+			env.Ledger = nil
+		}
 		t0 := time.Now()
 		orig, err := env.Analyze(c, die)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		baseline := time.Since(t0)
+		env.Ledger = ledger
 
 		opt := resyn.Options{MaxQ: *maxQ, Journal: *journal, StopAfterCommits: *stopAfter}
 		t1 := time.Now()
 		var r *resyn.Result
-		if *resumePath != "" {
-			r, err = resyn.Resume(env, orig, *resumePath, opt)
+		if ck != nil {
+			r, err = resyn.Resume(env, orig, ck, opt)
 		} else {
 			r, err = resyn.RunFrom(env, orig, opt)
 		}

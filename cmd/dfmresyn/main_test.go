@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 
 	"dfmresyn/internal/bench"
 	"dfmresyn/internal/library"
+	"dfmresyn/internal/obs"
 	"dfmresyn/internal/verilog"
 )
 
@@ -124,17 +126,20 @@ func deterministicRows(t *testing.T, stdout string) string {
 // TestInterruptAndResume: a sweep stopped by -stopafter exits 4 with a
 // usable journal; -resume from that journal exits 0 and prints the same
 // deterministic rows (Table II minus wall time, and the full Fig. 2 trace)
-// as the uninterrupted run.
+// as the uninterrupted run, and the two runs' -ledger files, concatenated
+// in canonical form, equal the uninterrupted run's.
 func TestInterruptAndResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.ckpt")
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "sweep.ckpt")
 	base := []string{"-table2", "-trace", "-circuit", "sparc_spu"}
+	ledger := func(name string) []string { return []string{"-ledger", filepath.Join(dir, name)} }
 
-	goldenOut, _, code := runCLI(t, base...)
+	goldenOut, _, code := runCLI(t, append(base, ledger("golden.jsonl")...)...)
 	if code != 0 {
 		t.Fatalf("golden run exited %d", code)
 	}
 
-	_, stderr, code := runCLI(t, append(base, "-journal", journal, "-stopafter", "1")...)
+	_, stderr, code := runCLI(t, append(append(base, ledger("killed.jsonl")...), "-journal", journal, "-stopafter", "1")...)
 	if code != 4 {
 		t.Fatalf("interrupted run exited %d, want 4\nstderr:\n%s", code, stderr)
 	}
@@ -145,7 +150,7 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Fatalf("no checkpoint journal after interrupted run: %v", err)
 	}
 
-	resumedOut, stderr, code := runCLI(t, append(base, "-resume", journal)...)
+	resumedOut, stderr, code := runCLI(t, append(append(base, ledger("resumed.jsonl")...), "-resume", journal)...)
 	if code != 0 {
 		t.Fatalf("resumed run exited %d\nstderr:\n%s", code, stderr)
 	}
@@ -154,6 +159,26 @@ func TestInterruptAndResume(t *testing.T) {
 	}
 	if got, want := deterministicRows(t, resumedOut), deterministicRows(t, goldenOut); got != want {
 		t.Errorf("resumed output differs from golden\n--- golden:\n%s\n--- resumed:\n%s", want, got)
+	}
+	canonical := func(name string) []byte {
+		t.Helper()
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs, err := obs.ReadLedger(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := obs.CanonicalLedger(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if got, want := append(canonical("killed.jsonl"), canonical("resumed.jsonl")...), canonical("golden.jsonl"); !bytes.Equal(got, want) {
+		t.Errorf("killed + resumed ledgers hold %d canonical bytes, the uninterrupted run's %d, and they differ", len(got), len(want))
 	}
 }
 

@@ -171,6 +171,23 @@ func waitDone(t *testing.T, s *server, id string) jobView {
 	return jobView{}
 }
 
+// lastLedgerLine decodes the last line of the ledger the server serves for
+// a job.
+func lastLedgerLine(t *testing.T, s *server, id string) (rec struct{ T, Digest string }) {
+	t.Helper()
+	resp, err := http.Get(s.url + "/jobs/" + id + "/ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatalf("GET /jobs/%s/ledger = %d, last line %q: %v", id, resp.StatusCode, lines[len(lines)-1], err)
+	}
+	return rec
+}
+
 // TestServeSmoke is the chaos acceptance run. des_perf's sweep accepts
 // several commits over a few seconds, leaving a wide window in which the
 // hard kill lands mid-run with a checkpoint already journaled.
@@ -227,6 +244,14 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if fin.Result.U != golden.Result.U {
 		t.Errorf("resumed U=%d != uninterrupted U=%d", fin.Result.U, golden.Result.U)
+	}
+	// The killed and the resumed process wrote one ledger file, and the
+	// summary that ends it carries the job's digest.
+	if ledgers, _ := filepath.Glob(filepath.Join(dirB, "jobs", bv.ID+"*.jsonl")); len(ledgers) != 1 {
+		t.Errorf("job ledger files %v, want one", ledgers)
+	}
+	if last := lastLedgerLine(t, b2, bv.ID); last.T != "summary" || last.Digest != fin.Result.LedgerDigest {
+		t.Errorf("served ledger ends in %+v, want a summary with digest %s", last, fin.Result.LedgerDigest)
 	}
 	b2.sigterm(t)
 

@@ -1,14 +1,12 @@
 // Package logic provides the value systems used throughout dfmresyn:
 // two-valued 64-bit parallel-pattern words for simulation, the five-valued
-// PODEM algebra (0, 1, X, D, DBar) for test generation, input cubes for
-// cell-aware fault activation conditions, and small truth tables for
-// library-cell functions.
+// PODEM algebra (0, 1, X, D, DBar) for test generation, and small truth
+// tables for library-cell functions.
 package logic
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // V5 is a five-valued logic value used by the PODEM test generator.
@@ -288,111 +286,4 @@ func (tab *V5Table) Eval(in []V5) V5 {
 		mul *= 5
 	}
 	return tab.vals[code]
-}
-
-// Cube is a partial assignment over a cell's inputs: for each input, a
-// required value or don't-care. It encodes the activation condition of a
-// cell-aware fault.
-type Cube struct {
-	Care uint // bit i set: input i is specified
-	Val  uint // bit i (only meaningful when Care bit set): required value
-	N    int  // number of inputs
-}
-
-// NewCube builds a cube over n inputs from a string like "1x0" where
-// position 0 of the string is input 0.
-func NewCube(s string) Cube {
-	c := Cube{N: len(s)}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			c.Care |= 1 << uint(i)
-		case '1':
-			c.Care |= 1 << uint(i)
-			c.Val |= 1 << uint(i)
-		case 'x', 'X', '-':
-		default:
-			panic(fmt.Sprintf("logic: bad cube character %q in %q", s[i], s))
-		}
-	}
-	return c
-}
-
-// FullCube builds a fully-specified cube over n inputs from assignment a.
-func FullCube(n int, a uint) Cube {
-	mask := uint(1)<<uint(n) - 1
-	return Cube{Care: mask, Val: a & mask, N: n}
-}
-
-// Matches reports whether the fully-specified assignment a satisfies c.
-func (c Cube) Matches(a uint) bool {
-	return a&c.Care == c.Val&c.Care
-}
-
-// MatchesWord returns, for 64 parallel assignments given as per-input words,
-// a word with bit p set when pattern p satisfies the cube.
-func (c Cube) MatchesWord(in []Word) Word {
-	m := AllOnes
-	for i := 0; i < c.N; i++ {
-		if c.Care>>uint(i)&1 == 0 {
-			continue
-		}
-		if c.Val>>uint(i)&1 == 1 {
-			m &= in[i]
-		} else {
-			m &= ^in[i]
-		}
-	}
-	return m
-}
-
-// Specified returns the number of specified (care) inputs.
-func (c Cube) Specified() int { return bits.OnesCount(c.Care) }
-
-// Lit returns the required value of input i and whether it is specified.
-func (c Cube) Lit(i int) (val uint8, specified bool) {
-	if c.Care>>uint(i)&1 == 0 {
-		return 0, false
-	}
-	return uint8(c.Val >> uint(i) & 1), true
-}
-
-// Contains reports whether c's care set is a subset of d's with matching
-// values, i.e. every assignment matching d also matches c.
-func (c Cube) Contains(d Cube) bool {
-	if c.Care&^d.Care != 0 {
-		return false
-	}
-	return (c.Val^d.Val)&c.Care == 0
-}
-
-// String renders the cube as a 0/1/x string with input 0 first.
-func (c Cube) String() string {
-	var b strings.Builder
-	for i := 0; i < c.N; i++ {
-		switch {
-		case c.Care>>uint(i)&1 == 0:
-			b.WriteByte('x')
-		case c.Val>>uint(i)&1 == 1:
-			b.WriteByte('1')
-		default:
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
-
-// Expand enumerates all fully-specified assignments matching the cube.
-func (c Cube) Expand() []uint {
-	free := ^c.Care & (uint(1)<<uint(c.N) - 1)
-	out := make([]uint, 0, 1<<uint(bits.OnesCount(free)))
-	sub := free
-	for {
-		out = append(out, (c.Val&c.Care)|sub)
-		if sub == 0 {
-			break
-		}
-		sub = (sub - 1) & free
-	}
-	return out
 }

@@ -218,109 +218,3 @@ func TestTTEvalV5AgainstProjections(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCubeParseAndString(t *testing.T) {
-	c := NewCube("1x0")
-	if c.String() != "1x0" {
-		t.Errorf("round trip: %q", c.String())
-	}
-	if c.Specified() != 2 {
-		t.Errorf("specified = %d", c.Specified())
-	}
-	if v, ok := c.Lit(0); !ok || v != 1 {
-		t.Errorf("lit 0 = %d,%v", v, ok)
-	}
-	if _, ok := c.Lit(1); ok {
-		t.Error("lit 1 should be unspecified")
-	}
-	if v, ok := c.Lit(2); !ok || v != 0 {
-		t.Errorf("lit 2 = %d,%v", v, ok)
-	}
-}
-
-func TestCubeMatches(t *testing.T) {
-	c := NewCube("1x0") // input0=1, input2=0
-	for a := uint(0); a < 8; a++ {
-		want := a&1 == 1 && a>>2&1 == 0
-		if got := c.Matches(a); got != want {
-			t.Errorf("Matches(%03b) = %v, want %v", a, got, want)
-		}
-	}
-}
-
-func TestCubeExpand(t *testing.T) {
-	c := NewCube("1x0")
-	got := c.Expand()
-	if len(got) != 2 {
-		t.Fatalf("expand size = %d", len(got))
-	}
-	seen := map[uint]bool{}
-	for _, a := range got {
-		if !c.Matches(a) {
-			t.Errorf("expanded assignment %03b does not match", a)
-		}
-		seen[a] = true
-	}
-	if len(seen) != 2 {
-		t.Error("duplicate assignments in Expand")
-	}
-}
-
-func TestCubeContains(t *testing.T) {
-	broad := NewCube("1xx")
-	narrow := NewCube("1x0")
-	if !broad.Contains(narrow) {
-		t.Error("1xx must contain 1x0")
-	}
-	if narrow.Contains(broad) {
-		t.Error("1x0 must not contain 1xx")
-	}
-	if !broad.Contains(broad) {
-		t.Error("cube must contain itself")
-	}
-	other := NewCube("0xx")
-	if broad.Contains(other) || other.Contains(broad) {
-		t.Error("conflicting cubes must not contain each other")
-	}
-}
-
-// TestCubeMatchesWordAgainstScalar: MatchesWord agrees with Matches per slot.
-func TestCubeMatchesWordAgainstScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(care, val uint16, n8 uint8) bool {
-		n := int(n8%6) + 1
-		mask := uint(1)<<uint(n) - 1
-		c := Cube{Care: uint(care) & mask, Val: uint(val) & mask, N: n}
-		in := make([]Word, n)
-		for i := range in {
-			in[i] = rng.Uint64()
-		}
-		m := c.MatchesWord(in)
-		for p := uint(0); p < 64; p++ {
-			var a uint
-			for i := 0; i < n; i++ {
-				a |= uint(in[i]>>p&1) << uint(i)
-			}
-			if (m>>p&1 == 1) != c.Matches(a) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFullCube(t *testing.T) {
-	c := FullCube(3, 0b101)
-	if c.String() != "101" {
-		t.Errorf("FullCube string = %q", c.String())
-	}
-	if !c.Matches(0b101) || c.Matches(0b100) {
-		t.Error("FullCube matching wrong")
-	}
-	if got := c.Expand(); len(got) != 1 || got[0] != 0b101 {
-		t.Errorf("FullCube expand = %v", got)
-	}
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -109,96 +108,4 @@ func formatAttrs(attrs []Attr) []string {
 		out[i] = a.Key + "=" + attrValue(a)
 	}
 	return out
-}
-
-// summaryNode aggregates every span sharing one path (the names of its
-// ancestors joined with its own), preserving tree shape and first-start
-// order.
-type summaryNode struct {
-	name     string
-	count    int
-	dur      time.Duration
-	alloc    uint64
-	children []*summaryNode
-	index    map[string]*summaryNode
-}
-
-func (n *summaryNode) child(name string) *summaryNode {
-	if n.index == nil {
-		n.index = map[string]*summaryNode{}
-	}
-	c := n.index[name]
-	if c == nil {
-		c = &summaryNode{name: name}
-		n.index[name] = c
-		n.children = append(n.children, c)
-	}
-	return c
-}
-
-// Summary renders the span tree as an indented table: spans with the same
-// name under the same parent are aggregated into one line with an
-// invocation count, total wall time, share of the root total, and total
-// heap allocation. Empty string on a nil tracer.
-func (t *Tracer) Summary() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	spans := append([]*Span(nil), t.spans...)
-	now := t.now().Sub(t.t0)
-	t.mu.Unlock()
-
-	root := &summaryNode{}
-	nodeOf := make([]*summaryNode, len(spans))
-	var total time.Duration
-	for i, s := range spans {
-		parent := root
-		if s.parent >= 0 {
-			parent = nodeOf[s.parent]
-		}
-		n := parent.child(s.name)
-		nodeOf[i] = n
-		dur := s.dur
-		if !s.ended {
-			dur = now - s.start
-		}
-		n.count++
-		n.dur += dur
-		n.alloc += s.alloc
-		if s.parent < 0 {
-			total += dur
-		}
-	}
-	var b strings.Builder
-	var walk func(n *summaryNode, depth int)
-	walk = func(n *summaryNode, depth int) {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(n.dur) / float64(total)
-		}
-		fmt.Fprintf(&b, "%-40s %5d× %12s %6.1f%% %10s\n",
-			strings.Repeat("  ", depth)+n.name, n.count,
-			n.dur.Round(time.Microsecond), pct, sizeString(n.alloc))
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
-	}
-	for _, c := range root.children {
-		walk(c, 0)
-	}
-	return b.String()
-}
-
-// sizeString renders a byte count in a human unit.
-func sizeString(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }

@@ -333,18 +333,11 @@ func (l *Ledger) appendLocked(rec LedgerRecord) {
 	if l.closed || l.err != nil {
 		return
 	}
-	line, err := encodeRecord(l.buf[:0], rec)
-	if err != nil {
+	if err := l.fold(rec); err != nil {
 		l.err = err
 		return
 	}
-	if rec.T != recSummary {
-		line = append(line, '\n')
-		l.h.Write(line)
-		line = line[:len(line)-1]
-		l.events++
-	}
-	l.buf = append(withTiming(line, rec), '\n')
+	l.buf = append(withTiming(l.buf, rec), '\n')
 	if _, err := l.w.Write(l.buf); err != nil {
 		l.err = fmt.Errorf("obs: ledger write: %w", err)
 		return
@@ -368,7 +361,7 @@ func (l *Ledger) appendLocked(rec LedgerRecord) {
 			}
 		}
 	}
-	line = l.buf[:len(l.buf)-1]
+	line := l.buf[:len(l.buf)-1]
 	if len(l.tail) < ledgerTail {
 		l.tail = append(l.tail, append([]byte(nil), line...))
 	} else {
@@ -387,27 +380,63 @@ func (l *Ledger) appendLocked(rec LedgerRecord) {
 	}
 }
 
-// SeedPrefix folds records an earlier process already wrote — the kept
-// prefix of a resumed job's ledger — into the running digest and event
-// count, so Digest, Events and the trailing summary describe the whole job
-// rather than this ledger's own records. Nothing is written, and summary
-// records are skipped, as in CanonicalLedger. It must precede the first
-// record.
-func (l *Ledger) SeedPrefix(prefix []LedgerRecord) error {
-	if l == nil {
-		return nil
+// fold encodes rec's canonical line into l.buf and, unless rec is a summary
+// record, feeds it to the running digest and counts it. The caller holds
+// l.mu or has not shared l yet.
+func (l *Ledger) fold(rec LedgerRecord) error {
+	line, err := encodeRecord(l.buf[:0], rec)
+	if err != nil {
+		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if rec.T != recSummary {
+		line = append(line, '\n')
+		l.h.Write(line)
+		line = line[:len(line)-1]
+		l.events++
 	}
-	if l.events != 0 || l.closed {
-		return errors.New("obs: ledger seeded after its first record")
+	l.buf = line
+	return nil
+}
+
+// ResumeLedger continues the ledger file at path after a checkpoint taken at
+// its iters-th iter record. The records through that one are kept and folded
+// into the running digest and event count; the file is cut off right after
+// that record's line, since later records belong to work the resumed run
+// redoes, and is reopened for appending. Digest, Events and the summary Close
+// writes then cover the whole file. Fewer than iters iter records, a line
+// ReadLedger refuses before the cut, or a cut line without its newline is an
+// error, and the file is left as it was.
+func ResumeLedger(path string, iters int) (*Ledger, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, fmt.Errorf("obs: resume ledger: %w", err)
 	}
-	buf, n, err := foldCanonical(l.h, l.buf, prefix)
-	l.buf, l.events, l.err = buf, l.events+n, err
-	return err
+	l := NewLedger(f)
+	l.c, l.f = f, f
+	sc := newLedgerScanner(f)
+	seen := 0
+	for seen < iters && err == nil && sc.next() {
+		if sc.rec.T == recIter {
+			seen++
+		}
+		err = l.fold(sc.rec)
+	}
+	switch {
+	case err != nil:
+	case sc.err != nil:
+		err = sc.err
+	case seen < iters:
+		err = fmt.Errorf("%d iter records, want %d", seen, iters)
+	case !sc.nl:
+		err = errors.New("the cut line has no newline")
+	default:
+		err = f.Truncate(sc.end)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("obs: resume ledger %s: %w", path, err)
+	}
+	return l, nil
 }
 
 // Stage records one analysis stage's summary. Emit it before the stage's
@@ -550,33 +579,69 @@ func (l *Ledger) Close() error {
 // the writer emits, low enough that a hostile input cannot balloon memory.
 const maxLedgerLine = 1 << 20
 
+// ledgerScanner is the ledger's one line decoder, shared by ReadLedger and
+// ResumeLedger. Blank lines are skipped; invalid JSON, an unknown record type
+// or an oversized line ends the scan with err set.
+type ledgerScanner struct {
+	sc   *bufio.Scanner
+	rec  LedgerRecord // the current record
+	end  int64        // byte offset just past the current record's line
+	nl   bool         // the current record's line ends in a newline
+	line int          // the current line's number
+	err  error
+}
+
+func newLedgerScanner(r io.Reader) *ledgerScanner {
+	s := &ledgerScanner{sc: bufio.NewScanner(r)}
+	s.sc.Buffer(make([]byte, 0, 64*1024), maxLedgerLine)
+	s.sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			s.end += int64(adv)
+			s.nl = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
+	return s
+}
+
+// next advances to the next record; false means the stream ended or err is
+// set.
+func (s *ledgerScanner) next() bool {
+	for s.sc.Scan() {
+		s.line++
+		if len(s.sc.Bytes()) == 0 {
+			continue
+		}
+		s.rec = LedgerRecord{}
+		if err := json.Unmarshal(s.sc.Bytes(), &s.rec); err != nil {
+			s.err = fmt.Errorf("obs: ledger line %d: %w", s.line, err)
+			return false
+		}
+		switch s.rec.T {
+		case recStage, recVerdict, recIter, recSummary:
+			return true
+		}
+		s.err = fmt.Errorf("obs: ledger line %d: unknown record type %q", s.line, s.rec.T)
+		return false
+	}
+	if err := s.sc.Err(); err != nil {
+		s.err = fmt.Errorf("obs: ledger line %d: %w", s.line+1, err)
+	}
+	return false
+}
+
 // ReadLedger decodes a JSONL ledger stream. Unknown record types, invalid
 // JSON, and oversized lines are errors; blank lines are skipped. The decoder
 // never panics on malformed input (pinned by FuzzLedger).
 func ReadLedger(r io.Reader) ([]LedgerRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLedgerLine)
+	sc := newLedgerScanner(r)
 	var recs []LedgerRecord
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec LedgerRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("obs: ledger line %d: %w", lineNo, err)
-		}
-		switch rec.T {
-		case recStage, recVerdict, recIter, recSummary:
-		default:
-			return nil, fmt.Errorf("obs: ledger line %d: unknown record type %q", lineNo, rec.T)
-		}
-		recs = append(recs, rec)
+	for sc.next() {
+		recs = append(recs, sc.rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: ledger line %d: %w", lineNo+1, err)
+	if sc.err != nil {
+		return nil, sc.err
 	}
 	return recs, nil
 }
@@ -605,31 +670,13 @@ func CanonicalLedger(recs []LedgerRecord) ([]byte, error) {
 // LedgerDigest recomputes the canonical digest of decoded records — equal to
 // the writer's Digest() (and its summary record) for an unmodified ledger.
 func LedgerDigest(recs []LedgerRecord) (string, error) {
-	h := sha256.New()
-	if _, _, err := foldCanonical(h, nil, recs); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// foldCanonical feeds the canonical line of every non-summary record into h,
-// encoding through buf. It returns the grown buffer and the number of
-// records folded.
-func foldCanonical(h hash.Hash, buf []byte, recs []LedgerRecord) ([]byte, int, error) {
-	n := 0
+	l := NewLedger(io.Discard)
 	for _, rec := range recs {
-		if rec.T == recSummary {
-			continue
+		if err := l.fold(rec); err != nil {
+			return "", err
 		}
-		var err error
-		if buf, err = encodeRecord(buf[:0], rec); err != nil {
-			return buf, n, err
-		}
-		buf = append(buf, '\n')
-		h.Write(buf)
-		n++
 	}
-	return buf, n, nil
+	return l.Digest(), nil
 }
 
 // SlowSearch identifies one of a run's costliest searches: the fault, the

@@ -436,66 +436,158 @@ func TestLedgerWriteErrorSticky(t *testing.T) {
 	}
 }
 
-// TestSeedPrefix: a ledger seeded with a prefix's records reports the
-// digest and event count of prefix plus its own records — the whole job —
-// in Digest, Events and its trailing summary, and writes only its own.
-func TestSeedPrefix(t *testing.T) {
-	var whole, first, rest bytes.Buffer
-	lw := NewLedger(&whole)
-	recordFixture(lw)
-	recordFixture(lw)
-	lw.Close()
+// TestResumeLedger: a ledger file cut at its k-th iter record and continued
+// by ResumeLedger ends byte-identical to one written by an uninterrupted run:
+// the records past the cut are gone, and the digest, event count and last
+// summary cover the whole file. A count above the file's iter records is
+// refused and leaves the file untouched.
+func TestResumeLedger(t *testing.T) {
+	dir := t.TempDir()
+	wholePath := filepath.Join(dir, "whole.jsonl")
+	whole, err := CreateLedger(wholePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		recordFixture(whole)
+	}
+	if err := whole.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(wholePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	l1 := NewLedger(&first)
-	recordFixture(l1)
-	l1.Close()
-	prefix, err := ReadLedger(bytes.NewReader(first.Bytes()))
+	// The killed run: two commits, work past the second that the resumed
+	// run redoes, its summary, and a torn half line.
+	path := filepath.Join(dir, "job.jsonl")
+	killed, err := CreateLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := NewLedger(&rest)
-	if err := l2.SeedPrefix(prefix); err != nil {
+	recordFixture(killed)
+	recordFixture(killed)
+	killed.Stage(LedgerRecord{Stage: "analyze-incr", Circuit: "c17"})
+	killed.Verdict(LedgerRecord{Fault: 3, Status: "detected", Tier: TierPodem})
+	if err := killed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recordFixture(l2)
-	if l2.Digest() != lw.Digest() || l2.Events() != lw.Events() {
-		t.Errorf("seeded ledger: %d events %s, whole run: %d events %s",
-			l2.Events(), l2.Digest(), lw.Events(), lw.Digest())
-	}
-	if err := l2.SeedPrefix(prefix); err == nil {
-		t.Error("seeding after the first record succeeded")
-	}
-	l2.Close()
-	recs, err := ReadLedger(bytes.NewReader(rest.Bytes()))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 {
-		t.Fatalf("seeded ledger wrote %d records, want its own 4 + summary", len(recs))
+	if _, err := f.WriteString(`{"t":"verdict","fault":4,"sta`); err != nil {
+		t.Fatal(err)
 	}
-	// The prefix without its summary, then the seeded ledger, verifies
-	// itself against its last summary.
-	stitched := append(prefix[:len(prefix)-1:len(prefix)-1], recs...)
-	d, err := LedgerDigest(stitched)
+	f.Close()
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := stitched[len(stitched)-1]; last.Digest != d || last.Events != 8 || d != lw.Digest() {
-		t.Errorf("stitched summary %+v, recomputed digest %s, whole-run digest %s", last, d, lw.Digest())
+
+	if _, err := ResumeLedger(path, 3); err == nil {
+		t.Fatal("resuming at iter 3 of a file holding 2 iter records succeeded")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("a refused resume changed the file")
+	}
+
+	l, err := ResumeLedger(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(want, []byte("\n"))
+	if kept := bytes.Join(lines[:8], nil); !bytes.Equal(cut, kept) {
+		t.Fatalf("file cut at iter 2 holds\n%s\nwant the whole run's first 8 lines\n%s", cut, kept)
+	}
+	if l.Events() != 8 {
+		t.Errorf("resumed ledger counts %d events, want the 8 kept", l.Events())
+	}
+	recordFixture(l)
+	if l.Digest() != whole.Digest() || l.Events() != whole.Events() {
+		t.Errorf("resumed ledger: %d events %s, whole run: %d events %s",
+			l.Events(), l.Digest(), whole.Events(), whole.Digest())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed file\n%s\nwant the whole run's\n%s", got, want)
+	}
+}
+
+// checkResume writes data to the file at path and resumes it at every k
+// from 1 to one past the number of iter records before its first
+// undecodable line. Every k up to that number is accepted, unless the k-th
+// iter record's line lacks its newline; the file is then the input's prefix
+// through that record, and its records re-digest to the ledger's digest.
+// The k past it is refused.
+func checkResume(t *testing.T, path string, data []byte) {
+	var cuttable []bool // per iter record: its line ends in a newline
+	for sc := newLedgerScanner(bytes.NewReader(data)); sc.next(); {
+		if sc.rec.T == recIter {
+			cuttable = append(cuttable, sc.nl)
+		}
+	}
+	for k := 1; k <= len(cuttable)+1; k++ {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := ResumeLedger(path, k)
+		if want := k <= len(cuttable) && cuttable[k-1]; (err == nil) != want {
+			t.Fatalf("ResumeLedger(k=%d) error %v, want accepted=%v", k, err, want)
+		}
+		if err != nil {
+			continue
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadLedger(bytes.NewReader(kept))
+		if err != nil || !bytes.HasPrefix(data, kept) || len(recs) == 0 || recs[len(recs)-1].T != recIter {
+			t.Fatalf("k=%d: kept %q is not a prefix of the input ending in an iter record (%v)", k, kept, err)
+		}
+		iters, events := 0, 0
+		for _, rec := range recs {
+			if rec.T == recIter {
+				iters++
+			}
+			if rec.T != recSummary {
+				events++
+			}
+		}
+		d, err := LedgerDigest(recs)
+		if err != nil || iters != k || d != l.Digest() || events != l.Events() {
+			t.Fatalf("k=%d: kept %d iter records, %d events %s; ledger %d events %s (%v)",
+				k, iters, events, d, l.Events(), l.Digest(), err)
+		}
+		l.Close()
 	}
 }
 
 // FuzzLedger: the decoder and re-encoder never panic on arbitrary input;
 // every record they accept encodes, canonical and timed, exactly as
 // json.Marshal renders its typed shape; the writer's digest equals a
-// reader's; and canonicalization is a fixed point — decoding the canonical
-// form and canonicalizing again is byte-identical.
+// reader's; canonicalization is a fixed point — decoding the canonical
+// form and canonicalizing again is byte-identical; and ResumeLedger cuts
+// any input only at an iter record it holds (checkResume).
 func FuzzLedger(f *testing.F) {
 	var seed bytes.Buffer
 	l := NewLedger(&seed)
 	recordFixture(l)
 	l.Close()
 	f.Add(seed.Bytes())
+	f.Add(append(bytes.Clone(seed.Bytes()), `{"t":"verdict","fau`...))
 	f.Add([]byte(`{"t":"verdict","fault":0,"status":"detected","tier":"cache"}`))
 	f.Add([]byte(`{"t":"stage"}` + "\n" + `{"t":"summary","events":1,"digest":"xyz"}`))
 	f.Add([]byte("\x00\xff"))
@@ -507,7 +599,10 @@ func FuzzLedger(f *testing.F) {
 	}
 	f.Add([]byte("{\"t\":\"verdict\",\"status\":\"raw\xff\x01\",\"tier\":\"\xe2\x80\xa8\"}"))
 	f.Add([]byte(`{"t":"iter","q":-1,"phase":2147483648,"iter":3,"u":-4,"smax":5,"f":6,"tiers":{"cache":1,"podem":-2},"us":7}`))
+	// One file per fuzzing process, which runs its inputs one at a time.
+	path := filepath.Join(f.TempDir(), "ledger.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkResume(t, path, data)
 		recs, err := ReadLedger(bytes.NewReader(data))
 		if err != nil {
 			return

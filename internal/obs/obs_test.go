@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,9 +254,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.InFlight() != nil {
 		t.Error("nil tracer InFlight != nil")
 	}
-	if tr.Summary() != "" {
-		t.Error("nil tracer Summary != \"\"")
-	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("nil WriteChromeTrace: %v", err)
@@ -273,23 +269,6 @@ func TestNilSafety(t *testing.T) {
 	var snap Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("nil metrics export not valid JSON: %v", err)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	tr := testTracer()
-	root := Start(tr, "resyn/sweep")
-	for i := 0; i < 3; i++ {
-		it := Start(tr, "resyn/iter", Int("iter", i))
-		it.End()
-	}
-	root.End()
-	sum := tr.Summary()
-	if !strings.Contains(sum, "resyn/sweep") || !strings.Contains(sum, "resyn/iter") {
-		t.Fatalf("summary missing span names:\n%s", sum)
-	}
-	if !strings.Contains(sum, "3×") {
-		t.Errorf("summary does not aggregate the 3 iter spans into one 3× line:\n%s", sum)
 	}
 }
 

@@ -149,9 +149,10 @@ type Checkpoint struct {
 	LogBytes   int64  `json:"logBytes"`
 	LogCRC     uint32 `json:"logCRC"`
 
-	// verdicts are the entries decoded from the log prefix, and logPath the
-	// log's path; LoadCheckpoint fills both.
+	// verdicts are the entries decoded from the log prefix, and path and
+	// logPath the journal's and the log's paths; LoadCheckpoint fills them.
 	verdicts []fcache.ExportedEntry
+	path     string
 	logPath  string
 }
 
@@ -427,7 +428,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resyn: load checkpoint %s: %w", path, err)
 	}
-	ck.logPath = filepath.Join(dir, ck.VerdictLog)
+	ck.path, ck.logPath = path, filepath.Join(dir, ck.VerdictLog)
 	return ck, nil
 }
 
@@ -454,24 +455,20 @@ func (ck *Checkpoint) validateFor(env *flow.Env, orig *flow.Design, opt Options)
 	return nil
 }
 
-// Resume continues an interrupted sweep from its checkpoint journal,
-// producing a Result byte-identical (tables, trace, telemetry rows) to the
-// uninterrupted run's. orig must be the analyzed original design of the
-// same circuit, environment seed, and options the journal was written
+// Resume continues an interrupted sweep from a checkpoint LoadCheckpoint
+// returned, producing a Result byte-identical (tables, trace, telemetry rows)
+// to the uninterrupted run's. orig must be the analyzed original design of
+// the same circuit, environment seed, and options the journal was written
 // under; mismatches are rejected. The resumed run keeps journaling to the
-// same path unless opt.Journal overrides it, so a resumed run interrupted
-// again resumes again.
-func Resume(env *flow.Env, orig *flow.Design, path string, opt Options) (*Result, error) {
+// path ck was loaded from unless opt.Journal overrides it, so a resumed run
+// interrupted again resumes again.
+func Resume(env *flow.Env, orig *flow.Design, ck *Checkpoint, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
 	if err := ck.validateFor(env, orig, opt); err != nil {
 		return nil, err
 	}
 	if opt.Journal == "" {
-		opt.Journal = path
+		opt.Journal = ck.path
 	}
 	env.Obs.Counter("resyn/resumes").Inc()
 	return runSweep(env, orig, opt, ck)

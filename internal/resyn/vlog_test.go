@@ -204,7 +204,7 @@ func TestVerdictLogTailPastPrefix(t *testing.T) {
 	}
 
 	env, orig := sweepEnv(t, nil)
-	if _, err := Resume(env, orig, journal, Options{StopAfterCommits: 2}); !errors.Is(err, resilience.ErrInterrupted) {
+	if _, err := Resume(env, orig, again, Options{StopAfterCommits: 2}); !errors.Is(err, resilience.ErrInterrupted) {
 		t.Fatalf("resumed sweep returned %v, want ErrInterrupted after its next commit", err)
 	}
 	next, err := LoadCheckpoint(journal)

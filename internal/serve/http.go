@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 
@@ -83,7 +84,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleJobLedger serves a job's provenance ledger. A running job streams
 // from its live flight recorder (?follow=1 until the job or the server
 // finishes, exactly the debug server's /ledger semantics); otherwise the
-// on-disk segments are concatenated.
+// ledger file is sent as it is.
 func (s *Server) handleJobLedger(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -94,19 +95,14 @@ func (s *Server) handleJobLedger(w http.ResponseWriter, r *http.Request) {
 		obs.ServeLedger(w, r, l, s.done)
 		return
 	}
-	segs := s.ledgerSegments(j.ID)
-	if len(segs) == 0 {
+	f, err := os.Open(s.ledgerPath(j.ID))
+	if err != nil {
 		http.Error(w, "no ledger recorded for job", http.StatusNotFound)
 		return
 	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			continue
-		}
-		w.Write(data)
-	}
+	io.Copy(w, f)
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {

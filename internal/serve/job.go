@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -108,10 +105,10 @@ type JobResult struct {
 	T       int     `json:"t"`
 	Cov     float64 `json:"cov"`
 	Commits int     `json:"commits"`
-	// LedgerDigest / LedgerEvents cover the job's on-disk provenance
-	// ledger, all segments stitched, and equal its last summary record:
-	// byte-identical for an uninterrupted run and a kill/restart/resume of
-	// the same spec.
+	// LedgerDigest / LedgerEvents cover the job's one provenance ledger
+	// file, whichever processes wrote it, and equal its last summary
+	// record: byte-identical for an uninterrupted run and a
+	// kill/restart/resume of the same spec.
 	LedgerDigest string `json:"ledgerDigest"`
 	LedgerEvents int    `json:"ledgerEvents"`
 	// Resumed / ReplayedCommits report crash recovery; Prewarmed /
@@ -217,124 +214,20 @@ func buildSpecCircuit(sp JobSpec, lib *library.Library) (*netlist.Circuit, error
 	return nil, errors.New("serve: empty spec")
 }
 
-// ckptPath / ledgerSegPath / ledgerSegments name a job's on-disk artifacts.
-// Ledger segments exist because a resumed job must truncate the killed
-// run's ledger at the checkpoint boundary and then keep appending; each
-// process writes its own segment and readers stitch them in order.
+// ckptPath and ledgerPath name a job's checkpoint journal and its ledger. A
+// job keeps one ledger file across every process that runs it: a resume cuts
+// it back to the checkpoint's last commit and appends from there.
 func (s *Server) ckptPath(id string) string {
 	return filepath.Join(s.jobsDir, id+".ckpt")
 }
 
-func (s *Server) ledgerSegPath(id string, n int) string {
-	return filepath.Join(s.jobsDir, fmt.Sprintf("%s.ledger.%06d.jsonl", id, n))
-}
-
-func (s *Server) ledgerSegments(id string) []string {
-	names, _ := filepath.Glob(filepath.Join(s.jobsDir, id+".ledger.*.jsonl"))
-	sort.Strings(names)
-	return names
-}
-
-// segOrdinal parses the segment number out of a segment path.
-func segOrdinal(path string) int {
-	parts := strings.Split(filepath.Base(path), ".")
-	if len(parts) < 2 {
-		return 0
-	}
-	var n int
-	fmt.Sscanf(parts[len(parts)-2], "%d", &n)
-	return n
-}
-
-// readLedgerLines reads one ledger segment leniently: well-formed JSONL
-// lines of known record types, stopping (without error) at the first torn
-// or foreign line — exactly what a SIGKILL mid-write leaves behind. Records
-// come back alongside their raw lines so truncation can rewrite the prefix
-// byte-identically.
-func readLedgerLines(path string) (lines []string, recs []obs.LedgerRecord) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if len(line) == 0 {
-			continue
-		}
-		var rec obs.LedgerRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return lines, recs
-		}
-		switch rec.T {
-		case "stage", "verdict", "iter", "summary":
-		default:
-			return lines, recs
-		}
-		lines = append(lines, line)
-		recs = append(recs, rec)
-	}
-	return lines, recs
-}
-
-// prepareResumeLedger truncates the killed run's on-disk ledger to exactly
-// the records up to and including the k-th iter record (the commit the
-// checkpoint describes) and deletes everything after — later records belong
-// to analyses the resumed continuation re-runs and re-emits, so keeping
-// them would duplicate. Returns the kept records, which seed the next
-// segment's digest, and the next segment ordinal to append under, or
-// ok=false when the segments do not contain k iter records (an inconsistent
-// pair — the caller falls back to a fresh run, which is always correct and
-// only loses work). The ledger's iter-record fsync barrier makes the
-// inconsistent case unreachable for a real kill: the k-th iter record is
-// durable before the checkpoint naming it can land.
-func (s *Server) prepareResumeLedger(id string, k int) (nextSeg int, kept []obs.LedgerRecord, ok bool) {
-	segs := s.ledgerSegments(id)
-	iters := 0
-	for si, path := range segs {
-		lines, recs := readLedgerLines(path)
-		for li, rec := range recs {
-			if rec.T != "iter" {
-				continue
-			}
-			iters++
-			if iters < k {
-				continue
-			}
-			var b strings.Builder
-			for _, line := range lines[:li+1] {
-				b.WriteString(line)
-				b.WriteByte('\n')
-			}
-			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-				return 0, nil, false
-			}
-			for _, later := range segs[si+1:] {
-				os.Remove(later)
-			}
-			return segOrdinal(path) + 1, append(kept, recs[:li+1]...), true
-		}
-		kept = append(kept, recs...)
-	}
-	return 0, nil, false
-}
-
-// removeJobArtifacts deletes a job's checkpoint, its verdict logs and its
-// ledger segments (the fresh-run reset).
-func (s *Server) removeJobArtifacts(id string) {
-	// Best effort: the fresh run's first commit overwrites a checkpoint and
-	// truncates a verdict log left behind.
-	_ = resyn.RemoveCheckpoint(s.ckptPath(id))
-	for _, seg := range s.ledgerSegments(id) {
-		os.Remove(seg)
-	}
+func (s *Server) ledgerPath(id string) string {
+	return filepath.Join(s.jobsDir, id+".ledger.jsonl")
 }
 
 // runSpec executes a job's sweep — fresh, or resumed from its checkpoint —
 // inside jobCtx. It owns the digest-identity choreography; the ordering
-// here is what makes a killed+resumed job's stitched ledger canonically
+// here is what makes a killed+resumed job's ledger canonically
 // byte-identical to an uninterrupted run's.
 func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	sp := j.Spec
@@ -358,27 +251,28 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	ckpt := s.ckptPath(j.ID)
 	opt := resyn.Options{MaxQ: sp.MaxQ, Journal: ckpt, StopAfterCommits: sp.StopAfterCommits}
 
-	ck, ckErr := resyn.LoadCheckpoint(ckpt)
-	resumed := ckErr == nil
-	if ckErr != nil && !errors.Is(ckErr, fs.ErrNotExist) {
-		// A damaged journal or verdict log: rerun from scratch.
+	// One decision: resume when the checkpoint loads and the job's ledger
+	// reaches its last commit; otherwise run fresh.
+	ck, err := resyn.LoadCheckpoint(ckpt)
+	// A checkpoint on disk, usable or not, makes this a re-run, and a re-run
+	// goes to completion: StopAfterCommits already fired once (or the
+	// process died), and carried on it would stop a resume at once, since
+	// the replayed prefix alone satisfies it, and a fresh run at its first
+	// commit.
+	rerun := !errors.Is(err, fs.ErrNotExist)
+	if rerun {
+		opt.StopAfterCommits = 0
+	}
+	var ledger *obs.Ledger
+	if err == nil {
+		ledger, err = obs.ResumeLedger(s.ledgerPath(j.ID), len(ck.Commits))
+	}
+	resumed := err == nil
+	if rerun && !resumed {
+		// A damaged journal or verdict log, or a ledger that falls short of
+		// the checkpoint's last commit: rerun from scratch — correct, just
+		// slower.
 		s.tracer.Counter("serve/resume_fallbacks").Inc()
-	}
-	nextSeg := 1
-	var kept []obs.LedgerRecord
-	if resumed {
-		var ok bool
-		nextSeg, kept, ok = s.prepareResumeLedger(j.ID, len(ck.Commits))
-		if !ok {
-			// Checkpoint and ledger disagree (or the ledger is gone):
-			// discard both and rerun from scratch — correct, just slower.
-			s.tracer.Counter("serve/resume_fallbacks").Inc()
-			resumed = false
-			nextSeg = 1
-		}
-	}
-	if !resumed {
-		s.removeJobArtifacts(j.ID)
 	}
 
 	cache := fcache.New()
@@ -389,10 +283,16 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	// resume, whose imported verdict log holds the killed run's verdicts.
 	var own fcache.Mark
 	if !resumed {
-		// Fresh run: seed the verdict cache from the shared store. On an
-		// empty store this is a free no-op, so the first job in a fresh
-		// data directory — the uninterrupted baseline the digest tests
-		// compare against — is bit-for-bit the storeless run.
+		// The one fresh path. Best effort: the first commit overwrites a
+		// leftover checkpoint and starts its verdict log over.
+		_ = resyn.RemoveCheckpoint(ckpt)
+		if ledger, err = obs.CreateLedger(s.ledgerPath(j.ID)); err != nil {
+			return nil, err
+		}
+		// Seed the verdict cache from the shared store. On an empty store
+		// this is a free no-op, so the first job in a fresh data directory —
+		// the uninterrupted baseline the digest tests compare against — is
+		// bit-for-bit the storeless run.
 		prewarmed = s.store.Prewarm(cache)
 		own = cache.Mark()
 		s.tracer.Counter("serve/prewarmed_entries").Add(int64(prewarmed))
@@ -403,25 +303,11 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	// attribution and break ledger-digest identity with the killed run.
 
 	// The job's digest and event count come from its ledger writer. A
-	// resumed segment is seeded with the kept prefix, so its running
+	// resumed ledger has folded in the records it kept, so its running
 	// digest, and the summary Close writes, cover the whole job.
-	var ledger *obs.Ledger
-	attach := func(n int, prefix []obs.LedgerRecord) error {
-		l, cerr := obs.CreateLedger(s.ledgerSegPath(j.ID, n))
-		if cerr != nil {
-			return cerr
-		}
-		if serr := l.SeedPrefix(prefix); serr != nil {
-			l.Close()
-			return serr
-		}
-		ledger = l
-		env.Ledger = l
-		j.mu.Lock()
-		j.ledger = l
-		j.mu.Unlock()
-		return nil
-	}
+	j.mu.Lock()
+	j.ledger = ledger
+	j.mu.Unlock()
 	// detach closes the ledger and returns its sticky error: a ledger that
 	// could not be written fails the job rather than report a digest of
 	// records that never reached disk.
@@ -438,32 +324,21 @@ func (s *Server) runSpec(j *Job, jobCtx context.Context) (*JobResult, error) {
 	}
 	defer detach()
 
+	// A fresh run's ledger records the original analysis. A resumed ledger
+	// already holds it, so this process's pre-replay Analyze stays
+	// ledger-silent.
 	if !resumed {
-		// Fresh: the original analysis is part of the job's ledger.
-		if err := attach(1, nil); err != nil {
-			return nil, err
-		}
+		env.Ledger = ledger
 	}
-	// Resumed: the killed run's segments already carry the original
-	// analysis; this process's pre-replay Analyze must stay ledger-silent
-	// or the stitched stream would record it twice.
 	orig, err := env.Analyze(c, geom.Rect{})
 	if err != nil {
 		return nil, err
 	}
+	env.Ledger = ledger
 
 	var res *resyn.Result
 	if resumed {
-		if err := attach(nextSeg, kept); err != nil {
-			return nil, err
-		}
-		kept = nil // folded into the digest; free it for the sweep
-		// A re-admitted job runs to completion: StopAfterCommits already
-		// fired once (or the process died); carrying it into the
-		// continuation would re-interrupt immediately, since the replayed
-		// prefix alone satisfies it.
-		opt.StopAfterCommits = 0
-		res, err = resyn.Resume(env, orig, ckpt, opt)
+		res, err = resyn.Resume(env, orig, ck, opt)
 	} else {
 		res, err = resyn.RunFrom(env, orig, opt)
 	}

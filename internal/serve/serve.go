@@ -8,9 +8,9 @@
 // sweep iteration writes a resyn checkpoint next to it. A server process
 // killed at any instant — SIGKILL included — restarts into a consistent
 // fleet: terminal jobs stay terminal, live jobs (queued, running,
-// interrupted) are re-admitted and resume from their checkpoints, and the
-// resumed runs' stitched provenance ledgers are canonically byte-identical
-// to uninterrupted runs'. The shared verdict store (internal/vstore) heals
+// interrupted) are re-admitted and resume from their checkpoints, and each
+// resumed job's one provenance ledger file is canonically byte-identical to
+// an uninterrupted run's. The shared verdict store (internal/vstore) heals
 // its own torn or corrupted segments on open. Job-level panics are retried
 // once and then quarantined as failed jobs; they never take down the
 // server or its other tenants.

@@ -90,8 +90,9 @@ func TestSpecValidateAndID(t *testing.T) {
 // TestLifecycleDigestIdentity is the acceptance contract: a job interrupted
 // mid-sweep (StopAfterCommits — the deterministic stand-in for SIGKILL) and
 // resumed — by resubmission onto the same server, or by a fresh server
-// instance recovering the journals — completes with a stitched ledger
-// digest byte-identical to an uninterrupted run's.
+// instance recovering the journals — completes with a ledger digest
+// byte-identical to an uninterrupted run's, in one ledger file cut back to
+// the checkpoint's last commit.
 func TestLifecycleDigestIdentity(t *testing.T) {
 	// Uninterrupted baseline in its own data directory (empty store, so
 	// its run is bit-for-bit the storeless run).
@@ -115,6 +116,17 @@ func TestLifecycleDigestIdentity(t *testing.T) {
 	if _, err := os.Stat(s2.ckptPath(j.ID)); err != nil {
 		t.Fatalf("interrupted job left no checkpoint: %v", err)
 	}
+	// Records past the checkpoint's last commit, ending in a line torn by
+	// the kill: the resume must cut them off.
+	const tail = `{"t":"stage","stage":"analyze-incr","circuit":"past-the-commit"}` + "\n" + `{"t":"verdict","fau`
+	f, err := os.OpenFile(s2.ledgerPath(j.ID), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	j2, admitted, err := s2.Submit(killed)
 	if err != nil || !admitted || j2 != j {
 		t.Fatalf("resubmission: job=%p/%p admitted=%v err=%v", j2, j, admitted, err)
@@ -126,7 +138,15 @@ func TestLifecycleDigestIdentity(t *testing.T) {
 	if rv.Result.LedgerDigest != golden {
 		t.Errorf("resumed digest %s != uninterrupted %s", rv.Result.LedgerDigest, golden)
 	}
-	checkStitchedLedger(t, s2, rv)
+	// The served ledger is the job's one file; that every line of it
+	// decodes shows the torn line is gone.
+	checkServedLedger(t, s2, rv)
+	if ledgers, _ := filepath.Glob(filepath.Join(s2.jobsDir, j.ID+"*.jsonl")); len(ledgers) != 1 || ledgers[0] != s2.ledgerPath(j.ID) {
+		t.Errorf("job ledger files %v, want only %s", ledgers, s2.ledgerPath(j.ID))
+	}
+	if data, err := os.ReadFile(s2.ledgerPath(j.ID)); err != nil || strings.Contains(string(data), "past-the-commit") {
+		t.Errorf("the resumed ledger kept the appended stage record (read error %v)", err)
+	}
 	if _, err := os.Stat(s2.ckptPath(j.ID)); !os.IsNotExist(err) {
 		t.Error("completed job left its checkpoint behind")
 	}
@@ -152,14 +172,14 @@ func TestLifecycleDigestIdentity(t *testing.T) {
 	if rv4.Result.LedgerDigest != golden {
 		t.Errorf("recovered digest %s != uninterrupted %s", rv4.Result.LedgerDigest, golden)
 	}
-	checkStitchedLedger(t, s4, rv4)
+	checkServedLedger(t, s4, rv4)
 }
 
-// checkStitchedLedger decodes the concatenated segments GET
-// /jobs/{id}/ledger serves for a finished job and asserts the stream
-// verifies itself: the digest recomputed from its records equals its last
-// summary's and the job's reported digest.
-func checkStitchedLedger(t *testing.T, s *Server, v JobView) {
+// checkServedLedger decodes the ledger GET /jobs/{id}/ledger serves for a
+// finished job and asserts the stream verifies itself: the digest
+// recomputed from its records equals its last summary's and the job's
+// reported digest.
+func checkServedLedger(t *testing.T, s *Server, v JobView) {
 	t.Helper()
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/"+v.ID+"/ledger", nil))
@@ -172,14 +192,14 @@ func checkStitchedLedger(t *testing.T, s *Server, v JobView) {
 	}
 	last := recs[len(recs)-1]
 	if last.T != "summary" {
-		t.Fatalf("stitched ledger ends in a %q record, not a summary", last.T)
+		t.Fatalf("served ledger ends in a %q record, not a summary", last.T)
 	}
 	d, err := obs.LedgerDigest(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != last.Digest || d != v.Result.LedgerDigest {
-		t.Errorf("stitched ledger digest %s, last summary %s, job %s", d, last.Digest, v.Result.LedgerDigest)
+		t.Errorf("served ledger digest %s, last summary %s, job %s", d, last.Digest, v.Result.LedgerDigest)
 	}
 	if last.Events != v.Result.LedgerEvents {
 		t.Errorf("last summary counts %d events, job %d", last.Events, v.Result.LedgerEvents)
@@ -473,18 +493,17 @@ func TestWarmStoreResumeDigestIdentity(t *testing.T) {
 		t.Errorf("resumed digest %s != uninterrupted %s on the same warm store (%d prewarmed)",
 			rv.Result.LedgerDigest, bv.Result.LedgerDigest, bv.Result.Prewarmed)
 	}
-	checkStitchedLedger(t, s2, rv)
+	checkServedLedger(t, s2, rv)
 	t.Logf("digest %s prewarmed %d", rv.Result.LedgerDigest, bv.Result.Prewarmed)
 }
 
 // TestVerdictLogDamage: a job stopped after one commit, whose verdict log
-// is then altered, still completes with the uninterrupted digest. Bytes
-// past the journaled prefix, as a crash between the log append and the
-// journal rename leaves them, are cut off and the job resumes. A log
-// shorter than the prefix, or with a flipped byte inside it, fails the
-// checkpoint's load, and the job falls back to a fresh run, which the
-// spec's StopAfterCommits stops again at its first commit; the next
-// resubmission resumes from that run's checkpoint.
+// is then altered, finishes after one resubmission with the uninterrupted
+// digest. Bytes past the journaled prefix, as a crash between the log
+// append and the journal rename leaves them, are cut off and the job
+// resumes. A log shorter than the prefix, or with a flipped byte inside it,
+// fails the checkpoint's load, and the job falls back to one fresh run,
+// which goes to completion: a re-run drops the spec's StopAfterCommits.
 func TestVerdictLogDamage(t *testing.T) {
 	base := newServer(t, Options{Slots: 1})
 	golden := waitState(t, submit(t, base, testSpec("golden")), StateDone).Result.LedgerDigest
@@ -502,12 +521,6 @@ func TestVerdictLogDamage(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newServer(t, Options{Slots: 1})
-			resubmit := func() {
-				t.Helper()
-				if _, admitted, err := s.Submit(killed); err != nil || !admitted {
-					t.Fatalf("resubmission: admitted=%v err=%v", admitted, err)
-				}
-			}
 			j := submit(t, s, killed)
 			waitState(t, j, StateInterrupted)
 			ck, err := resyn.LoadCheckpoint(s.ckptPath(j.ID))
@@ -522,25 +535,24 @@ func TestVerdictLogDamage(t *testing.T) {
 			if err := os.WriteFile(log, tc.damage(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			resubmit()
-			if tc.fallback {
-				waitState(t, j, StateInterrupted)
-				if got := s.Tracer().Counter("serve/resume_fallbacks").Get(); got != 1 {
-					t.Errorf("serve/resume_fallbacks = %d, want 1", got)
-				}
-				if _, err := resyn.LoadCheckpoint(s.ckptPath(j.ID)); err != nil {
-					t.Fatalf("the fresh run left no usable checkpoint: %v", err)
-				}
-				resubmit()
+			if _, admitted, err := s.Submit(killed); err != nil || !admitted {
+				t.Fatalf("resubmission: admitted=%v err=%v", admitted, err)
 			}
 			v := waitState(t, j, StateDone)
-			if !v.Result.Resumed {
-				t.Error("the job did not finish by resuming")
+			if v.Result.Resumed == tc.fallback {
+				t.Errorf("Resumed = %v, want %v", v.Result.Resumed, !tc.fallback)
+			}
+			fallbacks := int64(0)
+			if tc.fallback {
+				fallbacks = 1
+			}
+			if got := s.Tracer().Counter("serve/resume_fallbacks").Get(); got != fallbacks {
+				t.Errorf("serve/resume_fallbacks = %d, want %d", got, fallbacks)
 			}
 			if v.Result.LedgerDigest != golden {
 				t.Errorf("digest %s != uninterrupted %s", v.Result.LedgerDigest, golden)
 			}
-			checkStitchedLedger(t, s, v)
+			checkServedLedger(t, s, v)
 		})
 	}
 }

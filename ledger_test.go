@@ -42,7 +42,11 @@ func recordedSweep(t *testing.T, name string, workers int, opt resyn.Options, re
 
 	var r *resyn.Result
 	if resumeFrom != "" {
-		r, err = resyn.Resume(env, orig, resumeFrom, opt)
+		ck, lerr := resyn.LoadCheckpoint(resumeFrom)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		r, err = resyn.Resume(env, orig, ck, opt)
 	} else {
 		r, err = resyn.RunFrom(env, orig, opt)
 	}

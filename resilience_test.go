@@ -37,7 +37,11 @@ func sweepRows(t *testing.T, name string, opt resyn.Options, resumeFrom string) 
 	}
 	var r *resyn.Result
 	if resumeFrom != "" {
-		r, err = resyn.Resume(env, orig, resumeFrom, opt)
+		ck, lerr := resyn.LoadCheckpoint(resumeFrom)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		r, err = resyn.Resume(env, orig, ck, opt)
 	} else {
 		r, err = resyn.RunFrom(env, orig, opt)
 	}
@@ -102,13 +106,17 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		t.Fatal("setup: sweep was not interrupted")
 	}
 
+	ck, err := resyn.LoadCheckpoint(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := flow.NewEnv()
 	wrongC := bench.MustBuild("sparc_tlu", env.Lib)
 	wrongOrig, err := env.Analyze(wrongC, geom.Rect{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resyn.Resume(env, wrongOrig, journal, resyn.Options{}); err == nil {
+	if _, err := resyn.Resume(env, wrongOrig, ck, resyn.Options{}); err == nil {
 		t.Error("journal resumed a different circuit")
 	}
 
@@ -120,7 +128,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resyn.Resume(env2, orig2, journal, resyn.Options{}); err == nil {
+	if _, err := resyn.Resume(env2, orig2, ck, resyn.Options{}); err == nil {
 		t.Error("journal resumed under a different seed")
 	}
 
@@ -130,7 +138,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resyn.Resume(env3, orig3, journal, resyn.Options{MaxQ: 2}); err == nil {
+	if _, err := resyn.Resume(env3, orig3, ck, resyn.Options{MaxQ: 2}); err == nil {
 		t.Error("journal resumed under different options")
 	}
 }
