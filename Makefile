@@ -70,9 +70,10 @@ benchflow:
 
 # Fast benchmark gate: every physical-path microbenchmark, the four ATPG
 # hot-loop microbenchmarks (event-driven fault simulation of one block over
-# synth1k's faults, fault by fault and site-shared through a pool; synth1k's
-# PODEM searches; and the static stage: synth1k's implication closure plus
-# the screen of its DFM faults) and the flight recorder's per-verdict cost
+# synth1k's faults, fault by fault and site-shared through a pool; the PODEM
+# searches of synth1k and of backtrack-heavy tv80; and the static stage:
+# synth1k's implication closure plus the screen of its DFM faults) and the
+# flight recorder's per-verdict cost
 # (BenchmarkLedgerVerdict: encode, digest and write one ledger record),
 # and a sweep checkpoint's commit cost (BenchmarkCheckpointCommit: 500 new
 # verdicts appended to the verdict log of a cache prewarmed with 40k)
@@ -175,8 +176,9 @@ serve-smoke:
 # and its resume reader (FuzzLedger: ReadLedger and ResumeLedger) and the
 # verdict store's segment decoder — and over the differential engine checks
 # (static implication, CNF encoding, event-driven and site-shared fault
-# simulation against the whole-circuit reference). Corpora grow under
-# -fuzztime as long as you let them run.
+# simulation against the whole-circuit reference, and PODEM's event-driven
+# implication against a whole-cone implication from scratch: FuzzImply).
+# Corpora grow under -fuzztime as long as you let them run.
 fuzz:
 	$(GO) test -fuzz=FuzzRead$$ -fuzztime=30s ./internal/netlist/
 	$(GO) test -fuzz=FuzzReadExact -fuzztime=30s ./internal/netlist/
@@ -184,6 +186,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/resyn/
 	$(GO) test -fuzz=FuzzImplic -fuzztime=30s ./internal/implic/
 	$(GO) test -fuzz=FuzzCNF -fuzztime=30s ./internal/atpg/
+	$(GO) test -fuzz=FuzzImply -fuzztime=30s ./internal/atpg/
 	$(GO) test -fuzz=FuzzDetects$$ -fuzztime=30s ./internal/faultsim/
 	$(GO) test -fuzz=FuzzDetectsMany -fuzztime=30s ./internal/faultsim/
 	$(GO) test -fuzz=FuzzLedger -fuzztime=30s ./internal/obs/

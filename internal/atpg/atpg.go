@@ -295,9 +295,13 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		hasher = fcache.NewHasher(c)
 		keys = make([]fcache.Key, len(l.Faults))
 	}
+	// hit[i] records that l.Faults[i]'s key was found in the cache, so the
+	// epilogue need not store it again.
+	var hit []bool
 	if cfg.Cache != nil {
 		spCache := obs.Start(cfg.Obs, "atpg/cache", obs.Int("faults", len(l.Faults)))
 		witness = make([]faultsim.Test, len(l.Faults))
+		hit = make([]bool, len(l.Faults))
 		seeds := witnessSet{seen: make(map[uint64]int)}
 		for i, f := range l.Faults {
 			if f.Status != fault.Untried {
@@ -312,6 +316,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 			if !ok {
 				continue
 			}
+			hit[i] = true
 			switch e.Status {
 			case fault.Undetectable:
 				f.Status = fault.Undetectable
@@ -435,7 +440,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		if cfg.InjectPanic != nil && cfg.InjectPanic(f.ID, attempt) {
 			panic(fmt.Sprintf("chaos: injected worker panic on fault %d (attempt %d)", f.ID, attempt))
 		}
-		frng := rand.New(rand.NewSource(faultSeed(cfg.Seed, f.ID)))
+		frng := faultRand(cfg.Seed, f.ID)
 		bt0 := g.Backtracks()
 		var us0 int64
 		if timed {
@@ -476,7 +481,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 			cSatMemoHits.Inc()
 			return ProvenImpossible, nil, obs.TierSATMemo, 0
 		}
-		srng := rand.New(rand.NewSource(faultSeed(cfg.Seed^satSeedSalt, f.ID)))
+		srng := faultRand(cfg.Seed^satSeedSalt, f.ID)
 		out, tv, sst := esc.Resolve(f, srng)
 		res.SATEscalations++
 		res.SATConflicts += sst.Conflicts
@@ -658,10 +663,12 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	// order with first-write-wins semantics, so the cache content is as
 	// deterministic as the run itself. Aborted verdicts are never cached,
 	// and a cancelled run publishes nothing — the cache content stays a
-	// function of completed runs only.
+	// function of completed runs only. A key phase 0 found is skipped: its
+	// intact entry is still stored (the cache drops only damaged entries),
+	// so a second store would be a no-op.
 	if cfg.Cache != nil && !res.Cancelled {
 		for i, f := range l.Faults {
-			if keys[i].Zero() {
+			if keys[i].Zero() || hit[i] {
 				continue
 			}
 			switch f.Status {
@@ -808,6 +815,33 @@ func faultSeed(seed int64, id int) int64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int64(x)
+}
+
+// faultRand returns the rng stream of fault id under run seed: the stream of
+// rand.New(rand.NewSource(faultSeed(seed, id))), seeded on its first read.
+// Only a search that finds a test fills a vector from it, so a search that
+// finds none never pays for seeding (and allocating) a source.
+func faultRand(seed int64, id int) *rand.Rand {
+	return rand.New(&lazySource{seed: faultSeed(seed, id)})
+}
+
+// lazySource is a math/rand source that seeds itself on its first read.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first read
+}
+
+func (s *lazySource) Int63() int64 { return s.source().Int63() }
+
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
 }
 
 func randomVec(rng *rand.Rand, n int) []uint8 {

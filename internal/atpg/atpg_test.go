@@ -402,3 +402,29 @@ func TestWitnessSetDedupes(t *testing.T) {
 		t.Fatalf("colliding witness not kept once: %v", s.tests)
 	}
 }
+
+// TestFaultRandMatchesEagerStream: the lazily seeded per-fault stream is the
+// stream of an eagerly seeded source, through every Rand method the ATPG
+// tiers read.
+func TestFaultRandMatchesEagerStream(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		for _, id := range []int{0, 3, 12345} {
+			lazy := faultRand(seed, id)
+			eager := rand.New(rand.NewSource(faultSeed(seed, id)))
+			for k := 0; k < 200; k++ {
+				var a, b int64
+				switch k % 3 {
+				case 0:
+					a, b = int64(lazy.Intn(2)), int64(eager.Intn(2))
+				case 1:
+					a, b = lazy.Int63(), eager.Int63()
+				default:
+					a, b = int64(lazy.Uint64()), int64(eager.Uint64())
+				}
+				if a != b {
+					t.Fatalf("seed %d fault %d draw %d: lazy %d, eager %d", seed, id, k, a, b)
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/netlist"
-	"dfmresyn/internal/switchsim"
 )
 
 // wideCircuit builds a random netlist with more PIs than randCircuit, so
@@ -35,22 +34,28 @@ func wideCircuit(rng *rand.Rand, pis, gates int) *netlist.Circuit {
 	return c
 }
 
-// widenToCircuit replaces p's cone by the whole circuit, so that imply, the
-// D-frontier scan, detected and firstFreePI visit every gate, PI and PO.
+// widenToCircuit replaces p's cone and region by the whole circuit, so that
+// implication, the D-frontier scan, detected and firstFreePI visit every
+// gate, PI and PO, and every gate is evaluated in the faulty circuit.
 func widenToCircuit(p *podem) {
 	p.cone = append(p.cone[:0], p.order...)
+	p.regionGates = append(p.regionGates[:0], p.order...)
 	p.conePIs = p.conePIs[:0]
 	for i := range p.c.PIs {
 		p.conePIs = append(p.conePIs, i)
 	}
 	p.conePOs = append(p.conePOs[:0], p.c.POs...)
 	p.region = append(p.region[:0], p.c.Nets...)
+	p.indexCone()
 }
 
 // TestConeMatchesWholeCircuit drives a cone-bounded engine and a
 // whole-circuit engine through the same partial PI assignments, for every
 // target effect and for justification, and requires identical values on
 // every cone net and identical detection, objective and free-PI decisions.
+// Each engine starts as a search does, with a whole-cone implication, and
+// every later assignment goes through the search's setter, so the values
+// compared after it are the event-driven implication's.
 func TestConeMatchesWholeCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -60,87 +65,49 @@ func TestConeMatchesWholeCircuit(t *testing.T) {
 		cone.epoch = math.MaxUint32 - 3 // cross the visited-set wrap-around early
 		whole := newPodem(c, order, levels, 100)
 		extra := []fault.Cond{{Net: c.Nets[rng.Intn(len(c.Nets))], Val: uint8(rng.Intn(2))}}
-
-		// aim configures p for target k of f as GenerateWith does, with
-		// the extra condition after the target's own.
-		aim := func(p *podem, f *fault.Fault, k int) {
-			p.targets.Reset(f)
-			for ; k >= 0; k-- {
-				if !p.targets.Next() {
-					t.Fatalf("%v: too few targets", f)
-				}
-			}
-			tg := p.targets.Target()
-			p.t, p.conds = tg, append(append(p.conds[:0], tg.Conds...), extra...)
-		}
-		var configs []func(p *podem)
-		for _, n := range c.Nets {
-			v := uint8(rng.Intn(2))
-			configs = append(configs, func(p *podem) {
-				aim(p, &fault.Fault{Model: fault.StuckAt, Net: n, Value: v}, 0)
-			})
-			if len(n.Fanout) > 0 {
-				pin := n.Fanout[rng.Intn(len(n.Fanout))]
-				configs = append(configs, func(p *podem) {
-					aim(p, &fault.Fault{Model: fault.StuckAt, Net: n, Value: v,
-						BranchGate: pin.Gate, BranchPin: pin.Pin}, 0)
-				})
-			}
-			other := c.Nets[rng.Intn(len(c.Nets))]
-			configs = append(configs, func(p *podem) {
-				// Target 0 is the victim-1 polarity, target 1 victim 0.
-				aim(p, &fault.Fault{Model: fault.Bridge, Net: n, Other: other}, int(v^1))
-			})
-			configs = append(configs, func(p *podem) {
-				p.t, p.conds = nil, append(p.conds[:0], fault.Cond{Net: n, Val: v})
-			})
-		}
-		for _, g := range c.Gates {
-			asg := uint(rng.Intn(1 << uint(len(g.Fanin))))
-			beh := &switchsim.Behavior{Inputs: len(g.Fanin), StaticMask: 1 << asg}
-			configs = append(configs, func(p *podem) {
-				aim(p, &fault.Fault{Model: fault.CellAware, Gate: g, Behavior: beh}, 0)
-			})
-		}
-
-		for ci, configure := range configs {
-			configure(cone)
-			configure(whole)
+		for _, cfg := range searchConfigs(t, rng, c, extra) {
+			cfg.set(cone)
+			cfg.set(whole)
 			for i := range cone.piVal {
 				cone.piVal[i], whole.piVal[i] = -1, -1
 			}
 			cone.buildCone()
 			widenToCircuit(whole)
+			cone.implyCone()
+			whole.implyCone()
 			for step := 0; step < 6; step++ {
-				cone.imply()
-				whole.imply()
+				if step > 0 {
+					cone.imply()
+					whole.imply()
+				}
 				for _, g := range cone.cone {
 					n := g.Out
 					if cone.good[n.ID] != whole.good[n.ID] || cone.vals[n.ID] != whole.vals[n.ID] {
-						t.Fatalf("trial %d config %d step %d: net %s good/vals %v/%v, whole circuit %v/%v",
-							trial, ci, step, n.Name, cone.good[n.ID], cone.vals[n.ID], whole.good[n.ID], whole.vals[n.ID])
+						t.Fatalf("trial %d %s step %d: net %s good/vals %v/%v, whole circuit %v/%v",
+							trial, cfg.name, step, n.Name, cone.good[n.ID], cone.vals[n.ID], whole.good[n.ID], whole.vals[n.ID])
 					}
 				}
 				if a, b := cone.detected(), whole.detected(); a != b {
-					t.Fatalf("trial %d config %d step %d: detected %v, whole circuit %v", trial, ci, step, a, b)
+					t.Fatalf("trial %d %s step %d: detected %v, whole circuit %v", trial, cfg.name, step, a, b)
 				}
 				n1, v1, ok1 := cone.objective()
 				n2, v2, ok2 := whole.objective()
 				if n1 != n2 || v1 != v2 || ok1 != ok2 {
-					t.Fatalf("trial %d config %d step %d: objective (%v,%d,%v), whole circuit (%v,%d,%v)",
-						trial, ci, step, n1, v1, ok1, n2, v2, ok2)
+					t.Fatalf("trial %d %s step %d: objective (%v,%d,%v), whole circuit (%v,%d,%v)",
+						trial, cfg.name, step, n1, v1, ok1, n2, v2, ok2)
 				}
 				i1, w1, f1 := cone.firstFreePI()
 				i2, w2, f2 := whole.firstFreePI()
 				if i1 != i2 || w1 != w2 || f1 != f2 {
-					t.Fatalf("trial %d config %d step %d: firstFreePI (%d,%d,%v), whole circuit (%d,%d,%v)",
-						trial, ci, step, i1, w1, f1, i2, w2, f2)
+					t.Fatalf("trial %d %s step %d: firstFreePI (%d,%d,%v), whole circuit (%d,%d,%v)",
+						trial, cfg.name, step, i1, w1, f1, i2, w2, f2)
 				}
 				// Assign any PI, inside the cone or not: PIs outside it
 				// must not move a value the search reads.
 				pi := rng.Intn(len(c.PIs))
 				v := int8(rng.Intn(2))
-				cone.piVal[pi], whole.piVal[pi] = v, v
+				cone.set(pi, v)
+				whole.set(pi, v)
 			}
 		}
 	}

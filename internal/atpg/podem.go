@@ -29,9 +29,12 @@ const (
 // podem is one complete-search engine instance over a circuit.
 //
 // Every search is bounded by its cone (see buildCone): implication, the
-// D-frontier scan, the detection check and the free-PI choice visit only the
-// cone's gates, nets and PIs. Values of nets outside the cone are left over
-// from earlier searches and are never read.
+// detection check and the free-PI choice visit only the cone's gates, nets
+// and PIs, and the D-frontier scan only the gates driving region nets.
+// Values of nets outside the cone are left over from earlier searches and
+// are never read. Implication is event-driven: a search's first implication
+// evaluates the whole cone, and every later one only the cone gates whose
+// fanin values the PIs set since then have changed (see imply).
 type podem struct {
 	c      *netlist.Circuit
 	order  []*netlist.Gate
@@ -54,13 +57,26 @@ type podem struct {
 	limit      int
 
 	// The current search's cone: region is the site's structural fanout
-	// region, cone the gates of the transitive fanin of the region, the
-	// conditions and the bridge source in order, conePIs its PI positions
-	// ascending and conePOs its PO nets.
-	region  []*netlist.Net
-	cone    []*netlist.Gate
-	conePIs []int
-	conePOs []*netlist.Net
+	// region, regionGates the gates driving region nets in order, cone the
+	// gates of the transitive fanin of the region, the conditions and the
+	// bridge source in order, conePIs its PI positions ascending and
+	// conePOs its PO nets. coneIdx maps a gate ID to the gate's index in
+	// cone (-1 outside it), and inRegion has bit k set when cone[k] drives
+	// a region net.
+	region      []*netlist.Net
+	regionGates []*netlist.Gate
+	cone        []*netlist.Gate
+	coneIdx     []int32
+	inRegion    []uint64
+	conePIs     []int
+	conePOs     []*netlist.Net
+
+	// changed lists the PI positions set since the last implication, and
+	// goodDirty and valsDirty are bitsets over cone indices: the gates the
+	// running implication must re-evaluate in its good and faulty pass.
+	changed   []int
+	goodDirty []uint64
+	valsDirty []uint64
 
 	// mark is an epoch-stamped visited set: mark[n] == epoch means net n
 	// was reached by the current sweep, so a sweep starts with one
@@ -80,21 +96,29 @@ type podem struct {
 }
 
 func newPodem(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int) *podem {
+	words := (len(c.Gates) + 63) >> 6
 	p := &podem{
-		c:      c,
-		order:  order,
-		levels: levels,
-		pos:    make([]int32, len(c.Gates)),
-		piIdx:  make([]int32, len(c.Nets)),
-		vals:   make([]logic.V5, len(c.Nets)),
-		good:   make([]logic.V5, len(c.Nets)),
-		piVal:  make([]int8, len(c.PIs)),
-		limit:  limit,
-		mark:   make([]uint32, len(c.Nets)),
-		v5tab:  make([]*logic.V5Table, len(c.Gates)),
+		c:         c,
+		order:     order,
+		levels:    levels,
+		pos:       make([]int32, len(c.Gates)),
+		piIdx:     make([]int32, len(c.Nets)),
+		vals:      make([]logic.V5, len(c.Nets)),
+		good:      make([]logic.V5, len(c.Nets)),
+		piVal:     make([]int8, len(c.PIs)),
+		limit:     limit,
+		coneIdx:   make([]int32, len(c.Gates)),
+		inRegion:  make([]uint64, words),
+		goodDirty: make([]uint64, words),
+		valsDirty: make([]uint64, words),
+		mark:      make([]uint32, len(c.Nets)),
+		v5tab:     make([]*logic.V5Table, len(c.Gates)),
 	}
 	for i, g := range order {
 		p.pos[g.ID] = int32(i)
+	}
+	for i := range p.coneIdx {
+		p.coneIdx[i] = -1
 	}
 	for i := range p.piIdx {
 		p.piIdx[i] = -1
@@ -135,6 +159,9 @@ func (p *podem) newEpoch() uint32 {
 // the values a whole-circuit implication would, and every net the search
 // reads lies in it.
 func (p *podem) buildCone() {
+	for _, g := range p.cone {
+		p.coneIdx[g.ID] = -1
+	}
 	p.region = p.region[:0]
 	if p.t != nil {
 		site := p.t.Site()
@@ -193,12 +220,32 @@ func (p *podem) buildCone() {
 	for _, i := range gpos {
 		p.cone = append(p.cone, p.order[i])
 	}
+	gpos = gpos[:0]
+	for _, n := range p.region {
+		if g := n.Driver; g != nil {
+			gpos = append(gpos, p.pos[g.ID])
+		}
+	}
+	slices.Sort(gpos)
+	p.regionGates = p.regionGates[:0]
+	for _, i := range gpos {
+		p.regionGates = append(p.regionGates, p.order[i])
+	}
 	p.queue, p.gpos = stack, gpos
+	p.indexCone()
 }
 
-// evalGate evaluates a gate through the cached five-valued table.
-func (p *podem) evalGate(g *netlist.Gate, in []logic.V5) logic.V5 {
-	return p.v5tab[g.ID].Eval(in)
+// indexCone numbers the cone's gates in coneIdx and marks the region gates
+// among them in inRegion.
+func (p *podem) indexCone() {
+	for k, g := range p.cone {
+		p.coneIdx[g.ID] = int32(k)
+	}
+	clear(p.inRegion[:(len(p.cone)+63)>>6])
+	for _, g := range p.regionGates {
+		k := p.coneIdx[g.ID]
+		p.inRegion[k>>6] |= 1 << uint(k&63)
+	}
 }
 
 type decision struct {
@@ -209,7 +256,9 @@ type decision struct {
 
 // search runs a complete PODEM search for the configured target and
 // conditions. On FoundTest, the returned vector has every PI specified
-// (unassigned PIs are filled from rng).
+// (unassigned PIs are filled from rng, its only read). The first
+// implication covers the whole cone; after it, every decision, flip and
+// release goes through set and is implied event-driven.
 func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 	for i := range p.piVal {
 		p.piVal[i] = -1
@@ -218,8 +267,7 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 	p.buildCone()
 	p.stack = p.stack[:0]
 
-	for {
-		p.imply()
+	for p.implyCone(); ; p.imply() {
 		if p.detected() {
 			return FoundTest, p.fillVector(rng)
 		}
@@ -243,89 +291,225 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 				pi, val, ok2 = p.firstFreePI()
 			}
 			if ok2 {
-				p.stack = append(p.stack, decision{pi: pi, val: val})
-				p.piVal[pi] = int8(val)
+				p.decide(pi, val)
 				continue
 			}
 		}
-		// Backtrack.
-		for {
-			if len(p.stack) == 0 {
-				return ProvenImpossible, nil
-			}
-			top := &p.stack[len(p.stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				top.val ^= 1
-				p.piVal[top.pi] = int8(top.val)
-				p.backtracks++
-				p.btTotal++
-				if p.backtracks > p.limit {
-					return LimitExceeded, nil
-				}
-				break
-			}
-			p.piVal[top.pi] = -1
-			p.stack = p.stack[:len(p.stack)-1]
+		if !p.backtrack() {
+			return ProvenImpossible, nil
+		}
+		if p.backtracks > p.limit {
+			return LimitExceeded, nil
 		}
 	}
 }
 
-// imply performs five-valued forward implication over the cone from the
-// current PI assignment, maintaining both the pure-good ternary values
-// (p.good) and the faulty-circuit composite values (p.vals).
-func (p *podem) imply() {
-	// Pass 1: exact ternary good values for every cone net. The faulty
+// decide assigns PI position pi the value val as a new decision.
+func (p *podem) decide(pi int, val uint8) {
+	p.stack = append(p.stack, decision{pi: pi, val: val})
+	p.set(pi, int8(val))
+}
+
+// backtrack releases every flipped decision on top of the stack and flips
+// the one below them. It reports false when no decision is left to flip:
+// the search space is exhausted.
+func (p *podem) backtrack() bool {
+	for len(p.stack) > 0 {
+		top := &p.stack[len(p.stack)-1]
+		if !top.flipped {
+			top.flipped = true
+			top.val ^= 1
+			p.set(top.pi, int8(top.val))
+			p.backtracks++
+			p.btTotal++
+			return true
+		}
+		p.set(top.pi, -1)
+		p.stack = p.stack[:len(p.stack)-1]
+	}
+	return false
+}
+
+// set assigns PI position i the value v (-1 releases it) and records the
+// PI for the next implication. After a search's first implication every
+// assignment goes through set, or imply would not see it.
+func (p *podem) set(i int, v int8) {
+	p.piVal[i] = v
+	p.changed = append(p.changed, i)
+}
+
+// piGood is the good value of a PI assigned 0 or 1, or free (-1).
+func piGood(v int8) logic.V5 {
+	switch v {
+	case 0:
+		return logic.Zero
+	case 1:
+		return logic.One
+	}
+	return logic.X
+}
+
+// implyCone performs five-valued forward implication over the whole cone
+// from the current PI assignment, maintaining both the pure-good ternary
+// values (p.good) and the faulty-circuit composite values (p.vals). It is a
+// search's first implication; imply brings the values up to date after it.
+//
+// Errors arise only in the region, so every cone net outside it has a
+// composite value equal to its good value; only the region's gates and a
+// PI site are evaluated in the faulty circuit.
+func (p *podem) implyCone() {
+	// Good pass: exact ternary good values for every cone net. The faulty
 	// pass needs these complete (a bridge source may lie later in
 	// topological order than its victim).
-	var gbuf, fbuf [8]logic.V5
-	for _, i := range p.conePIs {
-		var v logic.V5
-		switch p.piVal[i] {
-		case 0:
-			v = logic.Zero
-		case 1:
-			v = logic.One
-		default:
-			v = logic.X
-		}
-		p.good[p.c.PIs[i].ID] = v
-	}
-	for _, g := range p.cone {
-		gin := gbuf[:len(g.Fanin)]
-		for i, in := range g.Fanin {
-			gin[i] = p.good[in.ID]
-		}
-		p.good[g.Out.ID] = p.evalGate(g, gin)
-	}
-
-	// Pass 2: faulty-composite values with the target's effect applied.
-	t := p.t
 	for _, i := range p.conePIs {
 		n := p.c.PIs[i]
-		p.vals[n.ID] = p.injectStem(n, p.good[n.ID])
+		v := piGood(p.piVal[i])
+		p.good[n.ID], p.vals[n.ID] = v, v
 	}
 	for _, g := range p.cone {
-		gin := gbuf[:len(g.Fanin)]
-		fin := fbuf[:len(g.Fanin)]
-		for i, in := range g.Fanin {
-			gin[i] = p.good[in.ID]
-			fin[i] = p.vals[in.ID]
-		}
-		var fv logic.V5
-		switch {
-		case t == nil || t.Gate != g:
-			fv = p.evalGate(g, fin)
-		case t.Effect == fault.EffectHost:
-			fv = p.hostEval(gin, p.good[g.Out.ID])
-		default:
-			// The branch input sees the forced value in the faulty
-			// circuit; its good projection is the net's good value.
-			fin[t.Pin] = force(fin[t.Pin], t.Val)
-			fv = p.evalGate(g, fin)
-		}
-		p.vals[g.Out.ID] = p.injectStem(g.Out, fv)
+		v := p.evalGood(g)
+		p.good[g.Out.ID], p.vals[g.Out.ID] = v, v
 	}
+	// Faulty pass: composite values with the target's effect applied.
+	if p.t != nil {
+		if site := p.t.Site(); site.IsPI {
+			p.vals[site.ID] = p.injectStem(site, p.good[site.ID])
+		}
+	}
+	for _, g := range p.regionGates {
+		p.vals[g.Out.ID] = p.evalVals(g)
+	}
+	p.changed = p.changed[:0]
+}
+
+// imply brings the implication up to date with the PIs set since the last
+// one. Each pass evaluates only the cone gates whose fanin values changed,
+// in cone order, so each gate once and after all of its fanins:
+//
+//   - the good pass re-evaluates the gates with a fanin whose good value
+//     changed; outside the region a net's composite value follows its good
+//     value;
+//   - the faulty pass re-evaluates the region gates the good pass visited
+//     (a cell-aware host among them when one of its inputs' good values
+//     changed) and those with a fanin whose composite value changed. It
+//     re-injects the bridge victim when the aggressor's good value changed.
+func (p *podem) imply() {
+	t := p.t
+	var site *netlist.Net
+	if t != nil {
+		site = t.Site()
+	}
+	bridge := t != nil && t.Effect == fault.EffectBridge
+	var agg logic.V5 // the bridge aggressor's good value before this implication
+	if bridge {
+		agg = p.good[t.Other.ID]
+	}
+	reinject := false // the site is a PI whose composite value must be recomputed
+	for _, i := range p.changed {
+		n := p.c.PIs[i]
+		v := piGood(p.piVal[i])
+		if v == p.good[n.ID] {
+			continue
+		}
+		p.good[n.ID] = v
+		p.touch(n, p.goodDirty)
+		if n == site {
+			reinject = true
+		} else {
+			p.vals[n.ID] = v
+		}
+	}
+	p.changed = p.changed[:0]
+	// A dirty gate's readers lie later in cone order, so one ascending
+	// sweep over the bitset, clearing each bit before its gate is
+	// evaluated, visits every gate marked on the way.
+	words := (len(p.cone) + 63) >> 6
+	for w := 0; w < words; w++ {
+		for p.goodDirty[w] != 0 {
+			bit := uint(bits.TrailingZeros64(p.goodDirty[w]))
+			p.goodDirty[w] &^= 1 << bit
+			region := p.inRegion[w]>>bit&1 != 0
+			if region {
+				p.valsDirty[w] |= 1 << bit
+			}
+			g := p.cone[w<<6|int(bit)]
+			if v := p.evalGood(g); v != p.good[g.Out.ID] {
+				p.good[g.Out.ID] = v
+				p.touch(g.Out, p.goodDirty)
+				if !region {
+					p.vals[g.Out.ID] = v
+				}
+			}
+		}
+	}
+
+	if bridge && p.good[t.Other.ID] != agg {
+		if d := site.Driver; d != nil {
+			k := p.coneIdx[d.ID]
+			p.valsDirty[k>>6] |= 1 << uint(k&63)
+		} else {
+			reinject = true
+		}
+	}
+	if reinject {
+		if v := p.injectStem(site, p.good[site.ID]); v != p.vals[site.ID] {
+			p.vals[site.ID] = v
+			p.touch(site, p.valsDirty)
+		}
+	}
+	for w := 0; w < words; w++ {
+		for p.valsDirty[w] != 0 {
+			bit := uint(bits.TrailingZeros64(p.valsDirty[w]))
+			p.valsDirty[w] &^= 1 << bit
+			g := p.cone[w<<6|int(bit)]
+			if v := p.evalVals(g); v != p.vals[g.Out.ID] {
+				p.vals[g.Out.ID] = v
+				p.touch(g.Out, p.valsDirty)
+			}
+		}
+	}
+}
+
+// touch marks in dirty every cone gate that reads net n.
+func (p *podem) touch(n *netlist.Net, dirty []uint64) {
+	for _, pin := range n.Fanout {
+		if k := p.coneIdx[pin.Gate.ID]; k >= 0 {
+			dirty[k>>6] |= 1 << uint(k&63)
+		}
+	}
+}
+
+// evalGood evaluates gate g's good output from its fanins' good values.
+func (p *podem) evalGood(g *netlist.Gate) logic.V5 {
+	var buf [8]logic.V5
+	in := buf[:len(g.Fanin)]
+	for i, n := range g.Fanin {
+		in[i] = p.good[n.ID]
+	}
+	return p.v5tab[g.ID].Eval(in)
+}
+
+// evalVals evaluates gate g's composite output from its fanins' composite
+// values, with the target's effect applied.
+func (p *podem) evalVals(g *netlist.Gate) logic.V5 {
+	var buf [8]logic.V5
+	in := buf[:len(g.Fanin)]
+	for i, n := range g.Fanin {
+		in[i] = p.vals[n.ID]
+	}
+	var v logic.V5
+	switch t := p.t; {
+	case t == nil || t.Gate != g:
+		v = p.v5tab[g.ID].Eval(in)
+	case t.Effect == fault.EffectHost:
+		v = p.hostEval(g)
+	default:
+		// The branch input sees the forced value in the faulty circuit;
+		// its good projection is the net's good value.
+		in[t.Pin] = force(in[t.Pin], t.Val)
+		v = p.v5tab[g.ID].Eval(in)
+	}
+	return p.injectStem(g.Out, v)
 }
 
 // force returns v with its faulty value replaced by val, or X when v's good
@@ -357,41 +541,27 @@ func (p *podem) injectStem(n *netlist.Net, v logic.V5) logic.V5 {
 	return v
 }
 
-// hostEval computes the cell-aware host gate's faulty-composite output: the
-// cell output flips exactly when the good input assignment equals the
-// target's.
-func (p *podem) hostEval(gin []logic.V5, gv logic.V5) logic.V5 {
-	for i, v := range gin {
-		gb, known := v.Good()
-		if !known {
-			// Could still match or not: if mismatch is already
-			// certain, output is fault-free; otherwise unknown.
-			if !p.canMatchHost(gin) {
-				return gv
-			}
-			return logic.X
-		}
-		if uint(gb) != p.t.Asg>>uint(i)&1 {
+// hostEval computes the cell-aware host gate's faulty-composite output from
+// its inputs' good values: the cell output flips exactly when the good input
+// assignment equals the target's.
+func (p *podem) hostEval(g *netlist.Gate) logic.V5 {
+	gv := p.good[g.Out.ID]
+	match := true // every input is known and equals its bit of Asg
+	for i, in := range g.Fanin {
+		gb, known := p.good[in.ID].Good()
+		if known && uint(gb) != p.t.Asg>>uint(i)&1 {
 			return gv // definite mismatch: fault-free behavior
 		}
+		match = match && known
+	}
+	if !match {
+		return logic.X // could still match or not
 	}
 	gb, known := gv.Good()
 	if !known {
 		return logic.X
 	}
 	return logic.FromBits(gb, gb^1)
-}
-
-// canMatchHost reports whether the partially-known good inputs can still
-// complete to the target's assignment.
-func (p *podem) canMatchHost(gin []logic.V5) bool {
-	for i, v := range gin {
-		gb, known := v.Good()
-		if known && uint(gb) != p.t.Asg>>uint(i)&1 {
-			return false
-		}
-	}
-	return true
 }
 
 // faninVal returns the composite value gate g actually sees on input i:
@@ -453,10 +623,11 @@ func (p *podem) objective() (*netlist.Net, uint8, bool) {
 
 	// Conditions met: the fault must now be excited somewhere. Find the
 	// D-frontier; if the error has not appeared and cannot appear,
-	// backtrack.
+	// backtrack. Errors arise only in the region, so only the gates driving
+	// region nets can carry one or see one on an input.
 	errSeen := false
 	frontier := p.frontier[:0]
-	for _, g := range p.cone {
+	for _, g := range p.regionGates {
 		out := p.vals[g.Out.ID]
 		if out.IsError() {
 			errSeen = true
@@ -601,9 +772,16 @@ func (p *podem) propagationObjective(g *netlist.Gate) (*netlist.Net, uint8, bool
 	return nil, 0, false
 }
 
-// outputCanError reports whether some completion of the X inputs makes the
-// gate output an error value. Error inputs are fixed at their D/DBar value.
+// outputCanError reports whether some completion of the X inputs by 0 and 1
+// makes the gate output an error value. Error inputs are fixed at their
+// D/DBar value. The gate's five-valued table settles it in one lookup unless
+// the output is X there: an error means every completion errs and a known
+// value that none does. An X output leaves it to the completions.
 func (p *podem) outputCanError(g *netlist.Gate, in []logic.V5) bool {
+	tab := p.v5tab[g.ID]
+	if v := tab.Eval(in); v != logic.X {
+		return v.IsError()
+	}
 	n := len(in)
 	var buf [8]int
 	xIdx := buf[:0]
@@ -618,7 +796,7 @@ func (p *podem) outputCanError(g *netlist.Gate, in []logic.V5) bool {
 		for k, i := range xIdx {
 			tmp[i] = logic.FromBit(uint8(sub >> uint(k) & 1))
 		}
-		if g.Type.TT.EvalV5(tmp[:n]).IsError() {
+		if tab.Eval(tmp[:n]).IsError() {
 			return true
 		}
 	}
@@ -658,6 +836,7 @@ func (p *podem) backtraceStep(g *netlist.Gate, v uint8) (int, uint8, bool) {
 		in[i] = p.good[fn.ID]
 	}
 	n := len(g.Fanin)
+	tab := p.v5tab[g.ID]
 	bestPin, bestVal := -1, uint8(0)
 	bestLvl := int(^uint(0) >> 1)
 	bestForced := false
@@ -667,11 +846,15 @@ func (p *podem) backtraceStep(g *netlist.Gate, v uint8) (int, uint8, bool) {
 		}
 		for _, cand := range []uint8{0, 1} {
 			in[i] = logic.FromBit(cand)
-			if !goodCanBe(g, in[:n], v) {
+			// The table is exact over completions of the X inputs: a
+			// known output is the value of every completion, and X
+			// means both values occur.
+			out, known := tab.Eval(in[:n]).Good()
+			if known && out != v {
 				in[i] = logic.X
 				continue
 			}
-			forced := !goodCanBe(g, in[:n], v^1)
+			forced := known // no completion gives v^1
 			lvl := p.levels[g.Fanin[i].ID]
 			betterPick := false
 			switch {
@@ -691,31 +874,6 @@ func (p *podem) backtraceStep(g *netlist.Gate, v uint8) (int, uint8, bool) {
 		return 0, 0, false
 	}
 	return bestPin, bestVal, true
-}
-
-// goodCanBe reports whether a completion of X inputs gives good output v.
-func goodCanBe(g *netlist.Gate, in []logic.V5, v uint8) bool {
-	var buf [8]int
-	xIdx := buf[:0]
-	var base uint
-	for i, val := range in {
-		gb, known := val.Good()
-		if !known {
-			xIdx = append(xIdx, i)
-			continue
-		}
-		base |= uint(gb) << uint(i)
-	}
-	for sub := 0; sub < 1<<uint(len(xIdx)); sub++ {
-		a := base
-		for k, i := range xIdx {
-			a |= uint(sub>>uint(k)&1) << uint(i)
-		}
-		if g.Type.Eval(a) == v {
-			return true
-		}
-	}
-	return false
 }
 
 // valsBacktrace walks from a net whose composite (faulty-machine) value is
