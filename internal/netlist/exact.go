@@ -36,7 +36,9 @@ import (
 
 // WriteExact serializes the circuit preserving the exact Nets, Gates, PI
 // and PO order (unlike Write, which levelizes). Names containing
-// whitespace cannot be represented and are rejected.
+// whitespace cannot be represented and are rejected. Each line is built
+// with appends rather than fmt: the resynthesis sweep encodes every
+// candidate netlist to key its evaluation memo.
 func WriteExact(w io.Writer, c *Circuit) error {
 	bad := func(name string) bool {
 		return name == "" || strings.ContainsAny(name, " \t\n\r")
@@ -45,7 +47,8 @@ func WriteExact(w io.Writer, c *Circuit) error {
 		return fmt.Errorf("netlist: exact: unencodable circuit name %q", c.Name)
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "xckt %s\n", c.Name)
+	line := append([]byte("xckt "), c.Name...)
+	bw.Write(append(line, '\n'))
 	netIdx := make(map[*Net]int, len(c.Nets))
 	for i, n := range c.Nets {
 		if bad(n.Name) {
@@ -61,27 +64,29 @@ func WriteExact(w io.Writer, c *Circuit) error {
 		case n.IsPO:
 			flags = "o"
 		}
-		fmt.Fprintf(bw, "net %s %s\n", n.Name, flags)
+		line = append(append(append(append(line[:0], "net "...), n.Name...), ' '), flags...)
+		bw.Write(append(line, '\n'))
 	}
 	for _, g := range c.Gates {
 		if bad(g.Name) {
 			return fmt.Errorf("netlist: exact: unencodable gate name %q", g.Name)
 		}
-		fmt.Fprintf(bw, "gate %s %s %d", g.Name, g.Type.Name, netIdx[g.Out])
+		line = append(append(append(append(line[:0], "gate "...), g.Name...), ' '), g.Type.Name...)
+		line = strconv.AppendInt(append(line, ' '), int64(netIdx[g.Out]), 10)
 		for _, in := range g.Fanin {
-			fmt.Fprintf(bw, " %d", netIdx[in])
+			line = strconv.AppendInt(append(line, ' '), int64(netIdx[in]), 10)
 		}
-		fmt.Fprintln(bw)
+		bw.Write(append(line, '\n'))
 	}
 	writeRefs := func(kw string, nets []*Net) {
 		if len(nets) == 0 {
 			return
 		}
-		fmt.Fprint(bw, kw)
+		line = append(line[:0], kw...)
 		for _, n := range nets {
-			fmt.Fprintf(bw, " %d", netIdx[n])
+			line = strconv.AppendInt(append(line, ' '), int64(netIdx[n]), 10)
 		}
-		fmt.Fprintln(bw)
+		bw.Write(append(line, '\n'))
 	}
 	writeRefs("pi", c.PIs)
 	writeRefs("po", c.POs)

@@ -40,6 +40,20 @@ func scrambled(t *testing.T, lib *library.Library) *Circuit {
 	return ReorderLike(c, prev)
 }
 
+// TestExactFormat pins the encoding byte for byte: checkpoint journals
+// store it, and the resynthesis sweep keys its evaluation memo by it.
+func TestExactFormat(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteExact(&buf, scrambled(t, library.OSU018Like())); err != nil {
+		t.Fatal(err)
+	}
+	want := "xckt scrambletest\nnet b i\nnet a i\nnet g_y_o -\nnet g_x_o o\nnet g_z_o o\n" +
+		"gate g_y OR2X2 2 3 1\ngate g_x AND2X2 3 1 0\ngate g_z INVX1 4 2\npi 1 0\npo 4 3\n"
+	if buf.String() != want {
+		t.Errorf("WriteExact wrote\n%s\nwant\n%s", buf.String(), want)
+	}
+}
+
 // TestExactRoundTrip: WriteExact → ReadExact must reproduce the identical
 // element sequence, names, wiring, flags and interface order — and
 // re-serialize to the same bytes.

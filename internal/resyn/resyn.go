@@ -135,6 +135,9 @@ type Result struct {
 	BestQ int
 	Trace []IterationRecord
 	// SynthCalls / PDCalls count Synthesize() and PDesign() invocations.
+	// A candidate that repeats one evaluated since the last commit is
+	// synthesized (and counted) again but reuses that evaluation, so
+	// PDCalls counts only analyses actually run.
 	SynthCalls int
 	PDCalls    int
 	// EquivFailures counts candidates rejected by the equivalence safety
@@ -235,12 +238,17 @@ type state struct {
 	res     *Result
 	ordered []*library.Cell // by internal fault count, descending
 
-	// curUIntNet caches UndetectableInternal(cur.C); refreshed on commit.
+	// curUIntNet is the undetectable-internal count of cur.C, the screen's
+	// baseline; recordCommit takes it from the committed design.
 	curUIntNet int
 	uintValid  bool
+	// memo holds the evaluations of the candidates synthesized from cur,
+	// by reuseKey; recordCommit clears it (see reuse.go).
+	memo map[[32]byte]evaluation
 	// iterBtTried / iterBtAcc count backtracking group attempts within the
-	// current iteration (reset by tryCells, snapshotted by commit).
-	iterBtTried, iterBtAcc int
+	// current iteration (reset by tryCells, snapshotted by commit), and
+	// iterReused the candidates whose evaluation it reused.
+	iterBtTried, iterBtAcc, iterReused int
 	// committedAtQ / constraintBlocked drive the q sweep: raising q only
 	// helps when some accepted candidate was blocked by constraints.
 	committedAtQ      bool
@@ -259,8 +267,8 @@ type state struct {
 	vlog verdictLog
 }
 
-// curUInt returns the cached undetectable-internal count of the current
-// netlist.
+// curUInt returns the undetectable-internal count of the current netlist,
+// screening it when recordCommit could not take the count from the design.
 func (s *state) curUInt() int {
 	if !s.uintValid {
 		s.curUIntNet = s.env.UndetectableInternal(s.cur.C)
@@ -312,6 +320,7 @@ func runSweep(env *flow.Env, orig *flow.Design, opt Options, ck *Checkpoint) (*R
 		orig: orig,
 		cur:  orig,
 		res:  &Result{Orig: orig, BestQ: -1},
+		memo: map[[32]byte]evaluation{},
 	}
 	switch opt.CellOrder {
 	case OrderArea:
@@ -408,14 +417,14 @@ type resumePoint struct {
 	p2       float64
 }
 
-// constraintsOK checks delay/power against the original with slack q%, as
-// well as the fixed die (checked implicitly by Analyze via PlaceInDie).
-func (s *state) constraintsOK(d *flow.Design) bool {
+// constraintsOK checks a candidate's delay/power against the original with
+// slack q%; the fixed die is checked by the analysis itself (PlaceInDie).
+func (s *state) constraintsOK(ev evaluation) bool {
 	slack := 1 + float64(s.q)/100
-	if d.Timing.CriticalDelay > s.orig.Timing.CriticalDelay*slack {
+	if ev.delay > s.orig.Timing.CriticalDelay*slack {
 		return false
 	}
-	if d.Power.Total > s.orig.Power.Total*slack {
+	if ev.power > s.orig.Power.Total*slack {
 		return false
 	}
 	return true
@@ -423,11 +432,15 @@ func (s *state) constraintsOK(d *flow.Design) bool {
 
 // smaxFrac returns |S_max| / |F| of a design.
 func smaxFrac(d *flow.Design) float64 {
-	f := d.Faults.Len()
+	return fraction(len(d.Clusters.Smax()), d.Faults.Len())
+}
+
+// fraction returns smax/f, or 0 for an empty fault list.
+func fraction(smax, f int) float64 {
 	if f == 0 {
 		return 0
 	}
-	return float64(len(d.Clusters.Smax())) / float64(f)
+	return float64(smax) / float64(f)
 }
 
 // undetectable returns the total and internal undetectable counts.
@@ -514,8 +527,11 @@ func (s *state) hostsOfUndetectableInternal() map[*netlist.Gate]bool {
 func (s *state) tryCells(subGates []*netlist.Gate, phase, iter int, p2 float64) bool {
 	sp := obs.Start(s.env.Obs, "resyn/iter",
 		obs.Int("phase", phase), obs.Int("iter", iter), obs.Int("q", s.q))
-	defer sp.End()
-	s.iterBtTried, s.iterBtAcc = 0, 0
+	s.iterBtTried, s.iterBtAcc, s.iterReused = 0, 0, 0
+	defer func() {
+		sp.Annotate(obs.Int("reused", s.iterReused))
+		sp.End()
+	}()
 	// The subcircuit must be convex for the rebuild; gates on paths that
 	// leave and re-enter it are pulled in (and stay frozen unless they
 	// host undetectable internal faults themselves).
@@ -539,8 +555,7 @@ func (s *state) tryCells(subGates []*netlist.Gate, phase, iter int, p2 float64) 
 	}
 
 	curU, _ := undetectable(s.cur)
-	curUIntNet := s.curUInt()
-	curSmax := len(s.cur.Clusters.Smax())
+	t := target{phase: phase, p2: p2, u: curU, smax: len(s.cur.Clusters.Smax()), uInt: s.curUInt()}
 
 	rising := 0
 	lastU := curU
@@ -567,18 +582,18 @@ func (s *state) tryCells(subGates []*netlist.Gate, phase, iter int, p2 float64) 
 		}
 		violated := false
 		anyAnalyzed := false
-		var lastAnalyzed *flow.Design
+		var lastAnalyzed evaluation
 		for _, mode := range modes {
-			newD, status := s.attempt(region, allowed, gzero, mode, curUIntNet)
+			cand, status := s.attempt(region, allowed, gzero, mode, t)
 			if status != attemptOK {
 				continue
 			}
 			anyAnalyzed = true
-			lastAnalyzed = newD
-			accepted := s.accepts(newD, phase, p2, curU, curSmax)
-			consOK := s.constraintsOK(newD)
+			lastAnalyzed = cand.ev
+			accepted := s.accepts(cand.ev, t)
+			consOK := s.constraintsOK(cand.ev)
 			if accepted && consOK {
-				s.commit(newD, phase, iter, p2, cell.Name, false)
+				s.commit(cand.d, phase, iter, p2, cell.Name, false)
 				return true
 			}
 			if accepted && !consOK {
@@ -592,7 +607,7 @@ func (s *state) tryCells(subGates []*netlist.Gate, phase, iter int, p2 float64) 
 		if violated {
 			// Acceptance criteria met but constraints broken in every
 			// mode: invoke the backtracking procedure.
-			if d, ok := s.backtrack(region, gzero, i, phase, p2, curU, curSmax, curUIntNet); ok {
+			if d, ok := s.backtrack(region, gzero, i, t); ok {
 				s.commit(d, phase, iter, p2, cell.Name, true)
 				return true
 			}
@@ -601,7 +616,7 @@ func (s *state) tryCells(subGates []*netlist.Gate, phase, iter int, p2 float64) 
 		if anyAnalyzed {
 			// Not accepted: track the gross U trend for early
 			// termination.
-			u, _ := undetectable(lastAnalyzed)
+			u := lastAnalyzed.u
 			if u > lastU {
 				rising++
 				if !s.opt.NoEarlyStop && rising >= s.opt.RisingUStop {
@@ -632,28 +647,46 @@ const (
 	attemptInterrupted
 )
 
+// target is what the current iteration's candidates are judged against:
+// the phase's acceptance bar and the current design's screen baseline.
+type target struct {
+	phase   int
+	p2      float64
+	u, smax int // the current design's U and |S_max|
+	uInt    int // the current design's undetectable internal faults
+}
+
+// candidate is an attempt that reached the acceptance decisions: its
+// evaluation, and its analyzed design unless the evaluation was reused and
+// the sweep does not commit it.
+type candidate struct {
+	d  *flow.Design
+	ev evaluation
+}
+
 // attempt synthesizes the region with the allowed cells, screens on
 // undetectable internal faults, and analyzes the result in the original
-// die.
+// die. A netlist already evaluated since the last commit reuses that
+// evaluation instead (see reuse.go).
 func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool,
-	frozen func(*netlist.Gate) bool, mode synth.Mode, curUIntNet int) (*flow.Design, attemptStatus) {
+	frozen func(*netlist.Gate) bool, mode synth.Mode, t target) (candidate, attemptStatus) {
 
 	// Check cancellation before spending synthesis work: after the run is
 	// interrupted every further attempt would only burn CPU on results
 	// that will be discarded.
 	if err := resilience.Err(s.env.Ctx); err != nil {
 		s.stopped = err
-		return nil, attemptInterrupted
+		return candidate{}, attemptInterrupted
 	}
 	s.gen++
 	prefix := fmt.Sprintf("r%d_", s.gen)
 	rs, err := synth.SynthesizeRegion(s.cur.C, region, s.env.Mapper, allowed, mode, frozen, prefix)
 	if err != nil {
-		return nil, attemptSynthFailed
+		return candidate{}, attemptSynthFailed
 	}
 	newC, err := rs.Rebuild(s.cur.C)
 	if err != nil {
-		return nil, attemptSynthFailed
+		return candidate{}, attemptSynthFailed
 	}
 	s.res.SynthCalls++
 	s.env.Obs.Counter("resyn/synth_calls").Inc()
@@ -667,9 +700,14 @@ func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool
 		if lint.CountAtLeast(fs, lint.Error) > 0 {
 			s.res.LintFailures++
 			if s.env.Lint == lint.ModeStrict {
-				return nil, attemptLintFailed
+				return candidate{}, attemptLintFailed
 			}
 		}
+	}
+
+	key, keyed := reuseKey(newC, prefix)
+	if ev, ok := s.memo[key]; keyed && ok {
+		return s.reuse(newC, ev, t)
 	}
 
 	// Safety net: the resynthesized circuit must implement the same
@@ -678,14 +716,26 @@ func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool
 		eq, err := equiv.Check(s.cur.C, newC, 8, s.env.Seed)
 		if err != nil || !eq.Equivalent {
 			s.res.EquivFailures++
-			return nil, attemptSynthFailed
+			return candidate{}, attemptSynthFailed
 		}
 	}
 
 	// PDesign() only when undetectable internal faults decrease.
-	if s.env.UndetectableInternal(newC) >= curUIntNet {
-		return nil, attemptNoUIntGain
+	uInt := s.env.UndetectableInternal(newC)
+	if uInt >= t.uInt {
+		s.remember(key, keyed, evaluation{uInt: uInt})
+		return candidate{}, attemptNoUIntGain
 	}
+	cand, status := s.analyze(newC, uInt)
+	if status == attemptAreaViolation || status == attemptOK && settled(cand.d) {
+		s.remember(key, keyed, cand.ev)
+	}
+	return cand, status
+}
+
+// analyze runs PDesign() on a candidate netlist that passed the screen
+// with uInt undetectable internal faults.
+func (s *state) analyze(newC *netlist.Circuit, uInt int) (candidate, attemptStatus) {
 	newD, err := s.env.AnalyzeIncremental(newC, s.cur)
 	s.res.PDCalls++
 	s.env.Obs.Counter("resyn/pd_calls").Inc()
@@ -703,7 +753,7 @@ func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool
 			// Cancelled mid-analysis: the partial classification is
 			// discarded with the candidate. Not a constraint wall.
 			s.stopped = err
-			return nil, attemptInterrupted
+			return candidate{}, attemptInterrupted
 		}
 		if errors.Is(err, lint.ErrFindings) {
 			// A strict-mode lint failure on the analyzed design (stale
@@ -711,22 +761,20 @@ func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool
 			// area violation — count it separately and do not let it
 			// masquerade as a constraint wall.
 			s.res.LintFailures++
-			return nil, attemptLintFailed
+			return candidate{}, attemptLintFailed
 		}
 		s.constraintBlocked = true
-		return nil, attemptAreaViolation
+		return candidate{ev: evaluation{uInt: uInt, areaViolation: true}}, attemptAreaViolation
 	}
-	return newD, attemptOK
+	return candidate{d: newD, ev: summarize(newD, uInt)}, attemptOK
 }
 
 // accepts applies the phase acceptance criteria of Section III-B.
-func (s *state) accepts(d *flow.Design, phase int, p2 float64, curU, curSmax int) bool {
-	u, _ := undetectable(d)
-	smax := len(d.Clusters.Smax())
-	if phase == 1 {
-		return smax < curSmax && u <= curU
+func (s *state) accepts(ev evaluation, t target) bool {
+	if t.phase == 1 {
+		return ev.smax < t.smax && ev.u <= t.u
 	}
-	return u < curU && smaxFrac(d) <= p2
+	return ev.u < t.u && fraction(ev.smax, ev.f) <= t.p2
 }
 
 // commit installs an accepted design and records the trace entry plus the
@@ -783,8 +831,12 @@ var testHookCheckpoint func(*state)
 // replayed row is identical to the original run's without journaling them.
 func (s *state) recordCommit(d *flow.Design, rec commitRecord) {
 	s.cur = d
-	s.uintValid = false
-	u, _ := undetectable(d)
+	clear(s.memo)
+	// The committed design's analysis has just classified and cached every
+	// internal fault, so a screen of d.C would only read its count back —
+	// unless a fault was left unsettled, which the screen would search again.
+	u, uInt := undetectable(d)
+	s.curUIntNet, s.uintValid = uInt, settled(d) && !testHookNoReuse
 	smax := len(d.Clusters.Smax())
 	s.res.Trace = append(s.res.Trace, IterationRecord{
 		Q:        rec.Q,
@@ -826,9 +878,9 @@ func (s *state) recordCommit(d *flow.Design, rec commitRecord) {
 // constraints hold but acceptance fails, the last group is unfrozen one
 // gate at a time.
 func (s *state) backtrack(region *netlist.Region, gzero func(*netlist.Gate) bool,
-	cellIdx, phase int, p2 float64, curU, curSmax, curUIntNet int) (*flow.Design, bool) {
+	cellIdx int, t target) (*flow.Design, bool) {
 
-	sp := obs.Start(s.env.Obs, "resyn/backtrack", obs.Int("phase", phase))
+	sp := obs.Start(s.env.Obs, "resyn/backtrack", obs.Int("phase", t.phase))
 	defer sp.End()
 	excluded := map[*library.Cell]bool{}
 	for _, c := range s.ordered[:cellIdx+1] {
@@ -855,7 +907,7 @@ func (s *state) backtrack(region *netlist.Region, gzero func(*netlist.Gate) bool
 		step = n
 	}
 
-	try := func(backCount int) (*flow.Design, bool, bool) {
+	try := func(backCount int) (*candidate, bool, bool) {
 		s.iterBtTried++
 		s.res.BacktrackGroupsTried++
 		s.env.Obs.Counter("resyn/backtrack_groups_tried").Inc()
@@ -864,11 +916,11 @@ func (s *state) backtrack(region *netlist.Region, gzero func(*netlist.Gate) bool
 			back[g] = true
 		}
 		frozen := func(g *netlist.Gate) bool { return gzero(g) || back[g] }
-		d, status := s.attempt(region, allowed, frozen, s.opt.Mode, curUIntNet)
+		cand, status := s.attempt(region, allowed, frozen, s.opt.Mode, t)
 		if status != attemptOK {
 			return nil, false, false
 		}
-		return d, s.constraintsOK(d), s.accepts(d, phase, p2, curU, curSmax)
+		return &cand, s.constraintsOK(cand.ev), s.accepts(cand.ev, t)
 	}
 	accept := func(d *flow.Design) (*flow.Design, bool) {
 		s.iterBtAcc++
@@ -884,12 +936,12 @@ func (s *state) backtrack(region *netlist.Region, gzero func(*netlist.Gate) bool
 		if k > n {
 			k = n
 		}
-		d, consOK, accOK := try(k)
-		if d == nil {
+		cand, consOK, accOK := try(k)
+		if cand == nil {
 			continue
 		}
 		if consOK && accOK {
-			return accept(d)
+			return accept(cand.d)
 		}
 		if consOK && !accOK {
 			// Unfreeze the last group one gate at a time.
@@ -901,9 +953,9 @@ func (s *state) backtrack(region *netlist.Region, gzero func(*netlist.Gate) bool
 				if s.stopped != nil {
 					return nil, false
 				}
-				d2, c2, a2 := try(j)
-				if d2 != nil && c2 && a2 {
-					return accept(d2)
+				cand2, c2, a2 := try(j)
+				if cand2 != nil && c2 && a2 {
+					return accept(cand2.d)
 				}
 			}
 			return nil, false
