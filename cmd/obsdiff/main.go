@@ -3,8 +3,10 @@
 // diverged:
 //
 //   - verdict flips — a fault whose final status changed, a fault present in
-//     one run but not the other, or a structural mismatch (different stage
-//     sequence or iteration trace),
+//     one run but not the other, or a structural mismatch: a stage block
+//     present in one run only (blocks are aligned by stage, circuit, gate
+//     and fault count, so the others still pair up) or a different
+//     iteration trace,
 //   - tier migrations — same verdict, decided by a different engine tier,
 //     or an iteration record whose tier map alone moved (informational: the
 //     answer held, the path to it moved),
@@ -184,23 +186,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// diffStages pairs stage blocks by order and compares their verdicts by
-// fault ID. Verdicts are a stage-local total function of the fault list, so
-// a fault on one side only is a flip, not a soft difference.
+// diffStages aligns the two runs' stage blocks (alignStages) and compares
+// the verdicts of each aligned pair by fault ID. A block on one side only is
+// reported once, as a structural difference. Verdicts are a stage-local
+// total function of the fault list, so a fault on one side only of an
+// aligned pair is a flip, not a soft difference.
 func diffStages(d *differ, old, new *ledgerFile, regress float64, minUs int64) {
-	n := len(old.stages)
-	if len(new.stages) != n {
-		d.report("flips", &d.flips, "stage count differs: %d -> %d", n, len(new.stages))
-		if len(new.stages) < n {
-			n = len(new.stages)
-		}
-	}
-	for s := 0; s < n; s++ {
-		ob, nb := old.stages[s], new.stages[s]
-		if ob.rec.Stage != nb.rec.Stage || ob.rec.Circuit != nb.rec.Circuit {
-			d.report("flips", &d.flips, "stage %d: %s -> %s", s+1, ob.label(), nb.label())
+	partner := alignStages(old.stages, new.stages)
+	matched := make([]bool, len(new.stages))
+	for s, t := range partner {
+		if t < 0 {
+			d.report("flips", &d.flips, "stage %d (%s) only in %s", s+1, old.stages[s].shape(), old.path)
 			continue
 		}
+		matched[t] = true
+	}
+	for t, ok := range matched {
+		if !ok {
+			d.report("flips", &d.flips, "stage %d (%s) only in %s", t+1, new.stages[t].shape(), new.path)
+		}
+	}
+	for s, t := range partner {
+		if t < 0 {
+			continue
+		}
+		ob, nb := old.stages[s], new.stages[t]
 		for _, ov := range ob.verdicts {
 			nv, ok := nb.byFault[ov.Fault]
 			if !ok {
@@ -235,6 +245,84 @@ func diffStages(d *differ, old, new *ledgerFile, regress float64, minUs int64) {
 				s+1, ob.label(), ob.rec.Micros, nb.rec.Micros)
 		}
 	}
+}
+
+// stageKey is what makes two runs' stage blocks the same stage: its label,
+// circuit and fault-list shape.
+type stageKey struct {
+	stage, circuit string
+	gates, faults  int
+}
+
+func (b stageBlock) key() stageKey {
+	return stageKey{b.rec.Stage, b.rec.Circuit, b.rec.Gates, b.rec.Faults}
+}
+
+// shape names a stage block with its size: "analyze sparc_spu, 1234 gates,
+// 5678 faults".
+func (b stageBlock) shape() string {
+	return fmt.Sprintf("%s, %d gates, %d faults", b.label(), b.rec.Gates, b.rec.Faults)
+}
+
+// maxAlignCells bounds the table alignStages builds over the blocks between
+// the runs' common prefix and suffix (4 bytes a cell).
+const maxAlignCells = 1 << 24
+
+// alignStages pairs old and new stage blocks along a longest common
+// subsequence of their keys and returns, per old block, the index of its
+// new partner or -1. The common prefix and suffix pair up directly; the
+// blocks between them are aligned by dynamic programming, so a run that
+// only lacks or adds some blocks pairs every other block with its
+// counterpart. A middle too large to tabulate is left unpaired.
+func alignStages(old, new []stageBlock) []int {
+	partner := make([]int, len(old))
+	for i := range partner {
+		partner[i] = -1
+	}
+	lo := 0
+	for lo < len(old) && lo < len(new) && old[lo].key() == new[lo].key() {
+		partner[lo] = lo
+		lo++
+	}
+	hiO, hiN := len(old), len(new)
+	for hiO > lo && hiN > lo && old[hiO-1].key() == new[hiN-1].key() {
+		hiO--
+		hiN--
+		partner[hiO] = hiN
+	}
+	n, m := hiO-lo, hiN-lo
+	if n == 0 || m == 0 || (n+1)*(m+1) > maxAlignCells {
+		return partner
+	}
+	// l[i*(m+1)+j] is the length of a longest common subsequence of
+	// old[lo+i:hiO] and new[lo+j:hiN].
+	w := m + 1
+	l := make([]int32, (n+1)*w)
+	for i := n - 1; i >= 0; i-- {
+		for j := m - 1; j >= 0; j-- {
+			switch {
+			case old[lo+i].key() == new[lo+j].key():
+				l[i*w+j] = l[(i+1)*w+j+1] + 1
+			case l[(i+1)*w+j] >= l[i*w+j+1]:
+				l[i*w+j] = l[(i+1)*w+j]
+			default:
+				l[i*w+j] = l[i*w+j+1]
+			}
+		}
+	}
+	for i, j := 0, 0; i < n && j < m; {
+		switch {
+		case old[lo+i].key() == new[lo+j].key():
+			partner[lo+i] = lo + j
+			i++
+			j++
+		case l[(i+1)*w+j] >= l[i*w+j+1]:
+			i++
+		default:
+			j++
+		}
+	}
+	return partner
 }
 
 // diffIters compares the resynthesis iteration traces record by record. A

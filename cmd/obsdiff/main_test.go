@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,4 +288,70 @@ func TestTopLimitsDetailLines(t *testing.T) {
 	if !strings.Contains(out, "40 verdict flips") {
 		t.Errorf("summary should still count all 40 flips:\n%s", out)
 	}
+}
+
+// TestDeletedStagesAlign: a ledger that lacks some stage blocks pairs every
+// remaining block with its counterpart, so it reports exactly the missing
+// blocks, once each, and no fault-level flip — from either side.
+func TestDeletedStagesAlign(t *testing.T) {
+	block := func(name, circuit string, gates, first int, status string) []emit {
+		ev := []emit{func(l *obs.Ledger) {
+			l.Stage(obs.LedgerRecord{Stage: name, Circuit: circuit, Gates: gates, Faults: 3})
+		}}
+		for i := 0; i < 3; i++ {
+			st := status
+			if (first+i)%2 == 0 {
+				st = "undetectable"
+			}
+			ev = append(ev, verdict(i, st, obs.TierPodem, 0))
+		}
+		return ev
+	}
+	blocks := [][]emit{
+		block("analyze", "tv80", 40, 0, "detected"),
+		block("analyze-incr", "tv80", 41, 1, "detected"),
+		block("analyze-incr", "tv80", 42, 0, "aborted"),
+		block("analyze-incr", "tv80", 43, 1, "detected"),
+		block("verify", "tv80", 43, 0, "detected"),
+		block("analyze", "aes_core", 90, 1, "aborted"),
+		block("verify", "aes_core", 90, 0, "detected"),
+	}
+	join := func(skip ...int) []emit {
+		var ev []emit
+		for i, b := range blocks {
+			if !slices.Contains(skip, i) {
+				ev = append(ev, b...)
+			}
+		}
+		return ev
+	}
+	full := writeLedger(t, "full.jsonl", join()...)
+	short := writeLedger(t, "short.jsonl", join(1, 2, 5)...)
+	check := func(a, b, only string) {
+		t.Helper()
+		out, _, code := diff(t, a, b)
+		if code != 1 {
+			t.Fatalf("missing stage blocks exited %d, want 1\n%s", code, out)
+		}
+		for _, want := range []string{
+			"stage 2 (analyze-incr tv80, 41 gates, 3 faults) only in " + only,
+			"stage 3 (analyze-incr tv80, 42 gates, 3 faults) only in " + only,
+			"stage 6 (analyze aes_core, 90 gates, 3 faults) only in " + only,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("missing %q in:\n%s", want, out)
+			}
+		}
+		if n := strings.Count(out, "only in"); n != 3 {
+			t.Errorf("%d unmatched blocks reported, want 3:\n%s", n, out)
+		}
+		if strings.Contains(out, "fault ") {
+			t.Errorf("fault-level differences reported for aligned blocks:\n%s", out)
+		}
+		if !strings.Contains(out, "3 verdict flips, 0 tier migrations") {
+			t.Errorf("unmatched blocks not counted as structural differences:\n%s", out)
+		}
+	}
+	check(full, short, full)
+	check(short, full, full)
 }

@@ -57,8 +57,9 @@ type Config struct {
 	// sequence. A nil Ctx never cancels.
 	Ctx context.Context
 	// Static enables the static implication screen: it builds the
-	// implication closure once per run and classifies statically-proven
-	// undetectable faults before any PODEM search, leaving every table
+	// implication closure once per run, after the cache replay and the
+	// random patterns, and classifies the statically-proven undetectable
+	// faults they left before any PODEM search, leaving every table
 	// byte-identical to an unscreened run. The screen is applied atomically
 	// at the implication-closure boundary: a cancellation observed before it
 	// skips it entirely, so a cancelled run never carries partial static
@@ -102,12 +103,13 @@ type Config struct {
 const DefaultBacktrackLimit = 1000
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// the static screen, then PODEM under DefaultBacktrackLimit, with the SAT
-// tier behind it. Both search tiers are complete, so the limit only decides
-// which one settles a fault, never its verdict. Most searches end well
-// inside the budget; the rare hard ones past it (redundancy proofs that
-// would exhaust the value space of a wide reconvergent cone) go to the CDCL
-// solver, which settles them far faster than more backtracking would.
+// random patterns, the static screen, then PODEM under
+// DefaultBacktrackLimit, with the SAT tier behind it. Both search tiers are
+// complete, so the limit only decides which one settles a fault, never its
+// verdict. Most searches end well inside the budget; the rare hard ones
+// past it (redundancy proofs that would exhaust the value space of a wide
+// reconvergent cone) go to the CDCL solver, which settles them far faster
+// than more backtracking would.
 func DefaultConfig() Config {
 	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1, Static: true, SATEscalate: true}
 }
@@ -169,6 +171,11 @@ type Result struct {
 	// is never measured otherwise.
 	Slowest []obs.SlowSearch
 }
+
+// testHookStaticFirst, set only by tests, runs the static screen before the
+// random patterns instead of after them: the reference order the tests
+// compare the default one against.
+var testHookStaticFirst bool
 
 // podemBatch is the number of faults classified concurrently between merge
 // points. It is a fixed constant — independent of the worker count — so that
@@ -338,16 +345,18 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		spCache.End()
 	}
 
-	// Phase 0.5: static implication screen. The closure is built once per
-	// run and every still-untried fault whose excitation or propagation
-	// requirements conflict with it is proven Undetectable without a
-	// search. Verdicts land in the same status field the PODEM merge
-	// writes, so the cache epilogue publishes them under the usual cone
-	// keys and later runs reuse them as ordinary cached proofs. The whole
-	// phase is skipped when cancellation is already observed — it either
-	// contributes every verdict the closure supports or none, never a
-	// partial set.
-	if cfg.Static && !resilience.Done(ctx) {
+	// The static implication screen. The closure is built once per run and
+	// every still-untried fault whose excitation or propagation requirements
+	// conflict with it is proven Undetectable without a search. Verdicts
+	// land in the same status field the PODEM merge writes, so the cache
+	// epilogue publishes them under the usual cone keys and later runs reuse
+	// them as ordinary cached proofs. The whole phase is skipped when
+	// cancellation is already observed — it either contributes every
+	// verdict the closure supports or none, never a partial set.
+	screen := func() {
+		if !cfg.Static || resilience.Done(ctx) {
+			return
+		}
 		anyUntried := false
 		for _, f := range l.Faults {
 			if f.Status == fault.Untried {
@@ -355,25 +364,30 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 				break
 			}
 		}
-		if anyUntried {
-			spStatic := obs.Start(cfg.Obs, "atpg/static", obs.Int("faults", len(l.Faults)))
-			eng := implic.New(c)
-			for i, f := range l.Faults {
-				if f.Status == fault.Untried && eng.Undetectable(f) {
-					f.Status = fault.Undetectable
-					res.StaticProven++
-					prov[i].tier = obs.TierImplic
-				}
-			}
-			st := eng.Stats()
-			cfg.Obs.Counter("atpg/static_proven").Add(int64(res.StaticProven))
-			cfg.Obs.Counter("atpg/static_constants").Add(int64(st.Constants))
-			cfg.Obs.Counter("atpg/static_implications").Add(int64(st.Implications))
-			spStatic.Annotate(obs.Int("proven", res.StaticProven),
-				obs.Int("constants", st.Constants))
-			spStatic.End()
+		if !anyUntried {
+			return
 		}
+		spStatic := obs.Start(cfg.Obs, "atpg/static", obs.Int("faults", len(l.Faults)))
+		eng := implic.New(c)
+		for i, f := range l.Faults {
+			if f.Status == fault.Untried && eng.Undetectable(f) {
+				f.Status = fault.Undetectable
+				res.StaticProven++
+				prov[i].tier = obs.TierImplic
+			}
+		}
+		st := eng.Stats()
+		cfg.Obs.Counter("atpg/static_proven").Add(int64(res.StaticProven))
+		cfg.Obs.Counter("atpg/static_constants").Add(int64(st.Constants))
+		cfg.Obs.Counter("atpg/static_implications").Add(int64(st.Implications))
+		spStatic.Annotate(obs.Int("proven", res.StaticProven),
+			obs.Int("constants", st.Constants))
+		spStatic.End()
 	}
+	if testHookStaticFirst {
+		screen()
+	}
+
 	// Phase 1: random pattern pairs with fault dropping; keep only tests
 	// that are first to detect at least one fault. The shared rng draws the
 	// same candidate vectors for every worker count and cache state.
@@ -382,13 +396,20 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		if npi == 0 {
 			break
 		}
-		cand := make([]faultsim.Test, 64)
-		for i := range cand {
-			cand[i] = faultsim.Test{Init: randomVec(rng, npi), Vec: randomVec(rng, npi)}
-		}
-		tests = append(tests, detectBlock(cand, untried, obs.TierCollateral)...)
+		tests = append(tests, detectBlock(randomBlock(rng, npi), untried, obs.TierCollateral)...)
 	}
 	spRandom.End()
+
+	// Phase 1.5: the static screen runs after the random patterns, so it
+	// never walks the cone of a fault they detect. The order changes no
+	// result: the screen proves only undetectable faults, a random block
+	// detects only detectable ones, and each phase touches only Untried
+	// faults, so every status, tier, credited test, witness and cache store
+	// is the one the screen-first order (testHookStaticFirst, the tests'
+	// reference) produces.
+	if !testHookStaticFirst {
+		screen()
+	}
 
 	// Phase 2: PODEM per remaining fault, in fixed-size batches. Each batch
 	// is searched in parallel — every fault with its own rng stream seeded
@@ -842,6 +863,15 @@ func (s *lazySource) source() rand.Source64 {
 		s.src = rand.NewSource(s.seed).(rand.Source64)
 	}
 	return s.src
+}
+
+// randomBlock draws one block of 64 random pattern pairs over npi inputs.
+func randomBlock(rng *rand.Rand, npi int) []faultsim.Test {
+	cand := make([]faultsim.Test, 64)
+	for i := range cand {
+		cand[i] = faultsim.Test{Init: randomVec(rng, npi), Vec: randomVec(rng, npi)}
+	}
+	return cand
 }
 
 func randomVec(rng *rand.Rand, n int) []uint8 {

@@ -15,13 +15,17 @@ type Report struct {
 	PerCategory  map[Category]int
 }
 
-func newReport() *Report {
-	return &Report{PerGuideline: map[string]int{}, PerCategory: map[Category]int{}}
-}
-
-func (r *Report) hit(g *Guideline) {
-	r.PerGuideline[g.ID]++
-	r.PerCategory[g.Cat]++
+// newReport fills a report from a per-guideline tally (hits[i] counts the
+// violations of gs[i]); a guideline without violations gets no entry.
+func newReport(gs []*Guideline, hits []int) *Report {
+	r := &Report{PerGuideline: map[string]int{}, PerCategory: map[Category]int{}}
+	for i, n := range hits {
+		if n > 0 {
+			r.PerGuideline[gs[i].ID] += n
+			r.PerCategory[gs[i].Cat] += n
+		}
+	}
+	return r
 }
 
 // BuildFaults translates DFM guideline violations into the target fault set
@@ -36,21 +40,22 @@ func BuildFaults(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile) (*
 // BuildFaultsStats is BuildFaults plus the bridge scan's candidate-pair
 // accounting.
 func BuildFaultsStats(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile) (*fault.List, *Report, ScanStats) {
+	gs := Guidelines()
 	b := &builder{
 		c:    c,
 		lay:  lay,
-		gs:   Guidelines(),
-		list: &fault.List{},
-		rep:  newReport(),
+		gs:   gs,
+		hits: make([]int, len(gs)),
 		acc:  newWinAcc(len(c.Nets)),
 	}
-	b.internal(prof)
+	b.list = InternalFaults(c, prof)
+	b.tallyInternal(prof)
 	b.vias()
 	b.bridges()
 	b.segments()
 	b.densities()
 	b.stats.BridgePairsNaive = route.SegPairsNaive(lay)
-	return b.list, b.rep, b.stats
+	return b.list, newReport(gs, b.hits), b.stats
 }
 
 // ScanStats reports how many candidate net pairs the bridge scan examined
@@ -72,44 +77,49 @@ func (s ScanStats) PairReduction() float64 {
 	return float64(s.BridgePairsNaive) / float64(s.BridgePairs)
 }
 
-// netRule / pinRule / pairRule key the per-phase deduplication maps.
+// netRule / pinRule / pairRule key the per-phase deduplication maps; g is
+// the guideline's position in the deck.
 type netRule struct {
-	net int
-	gid string
+	net, g int
 }
 type pinRule struct {
-	net, gate, pin int
-	gid            string
+	net, gate, pin, g int
 }
 type pairRule struct {
-	a, b int
-	gid  string
+	a, b, g int
 }
 
-// builder assembles the fault list and report from per-phase violation
-// triggers.
+// builder assembles the fault list and the per-guideline violation tally
+// from per-phase violation triggers.
 type builder struct {
 	c     *netlist.Circuit
 	lay   *route.Layout
 	gs    []*Guideline
 	list  *fault.List
-	rep   *Report
+	hits  []int // hits[i] counts the violations of gs[i]
 	stats ScanStats
 	// acc is the density-window accumulator shared across every window
 	// and guideline evaluation of this build.
 	acc *winAcc
+	// arena backs the external faults.
+	arena faultArena
 }
 
-// internal adds every instance's cell-aware defects (layout-independent).
-func (b *builder) internal(prof *LibraryProfile) {
-	byID := map[string]*Guideline{}
-	for _, g := range b.gs {
-		byID[g.ID] = g
+// InternalFaults builds the internal-only fault list of a netlist: every
+// instance's cell-aware defects from the library profile, in gate order.
+// It needs no layout, since internal faults do not depend on placement and
+// routing, and equals the internal prefix of BuildFaults' list.
+func InternalFaults(c *netlist.Circuit, prof *LibraryProfile) *fault.List {
+	n := 0
+	for _, g := range c.Gates {
+		n += len(prof.PerCell[g.Type.Index])
 	}
-	for _, g := range b.c.Gates {
+	l := &fault.List{Faults: make([]*fault.Fault, 0, n)}
+	var arena faultArena
+	for _, g := range c.Gates {
 		for i := range prof.PerCell[g.Type.Index] {
 			cd := &prof.PerCell[g.Type.Index][i]
-			b.list.Add(&fault.Fault{
+			arena.add(l, fault.Fault{
 				Model:     fault.CellAware,
 				Internal:  true,
 				Gate:      g,
@@ -117,10 +127,58 @@ func (b *builder) internal(prof *LibraryProfile) {
 				Behavior:  cd.Behavior,
 				Guideline: cd.Guideline,
 			})
-			b.rep.hit(byID[cd.Guideline])
+		}
+	}
+	return l
+}
+
+// tallyInternal counts the internal faults' violations. Every instance of
+// a cell type carries each of the type's profile entries once, so each
+// entry's guideline is looked up once per cell type and credited with the
+// type's instance count.
+func (b *builder) tallyInternal(prof *LibraryProfile) {
+	uses := make([]int, len(prof.PerCell))
+	for _, g := range b.c.Gates {
+		uses[g.Type.Index]++
+	}
+	pos := make(map[string]int, len(b.gs))
+	for i, g := range b.gs {
+		pos[g.ID] = i
+	}
+	for ci, defects := range prof.PerCell {
+		if uses[ci] == 0 {
+			continue
+		}
+		for _, cd := range defects {
+			b.hits[pos[cd.Guideline]] += uses[ci]
 		}
 	}
 }
+
+// faultChunk is the number of faults one backing array holds: 128 faults,
+// 18 KiB, a small object for the Go runtime. One array per fault list (a
+// large object of up to a few MiB for every candidate the sweep screens)
+// raised perfbench sweep's rss_p90_mb by about 2 MiB; 128-fault chunks
+// did not.
+const faultChunk = 128
+
+// faultArena hands out faults from backing arrays of faultChunk faults, so
+// a list of n faults costs n/faultChunk allocations instead of n.
+type faultArena []fault.Fault
+
+// add appends a copy of f, taken from the arena, to l.
+func (a *faultArena) add(l *fault.List, f fault.Fault) {
+	if len(*a) == 0 {
+		*a = make([]fault.Fault, faultChunk)
+	}
+	p := &(*a)[0]
+	*a = (*a)[1:]
+	*p = f
+	l.Add(p)
+}
+
+// add appends an external fault to the builder's list.
+func (b *builder) add(f fault.Fault) { b.arena.add(b.list, f) }
 
 // vias adds external via opens -> transition faults on the net. An open at
 // a *pin* via (M1 stack) disconnects a single sink, so it becomes a branch
@@ -132,21 +190,21 @@ func (b *builder) vias() {
 		r := &b.lay.Routes[n.ID]
 		netLen := r.Length()
 		for _, v := range r.Vias {
-			for _, g := range b.gs {
+			for gi, g := range b.gs {
 				if g.CheckVia == nil || !g.CheckVia(v, netLen) {
 					continue
 				}
-				b.rep.hit(g)
+				b.hits[gi]++
 				// Pin vias at a sink location: branch faults.
 				if v.From == route.M1 {
 					if bg, bp, ok := sinkAt(b.lay, n, v.At); ok {
-						key := pinRule{n.ID, bg.ID, bp, g.ID}
+						key := pinRule{n.ID, bg.ID, bp, gi}
 						if pinHits[key] {
 							continue
 						}
 						pinHits[key] = true
 						for val := uint8(0); val <= 1; val++ {
-							b.list.Add(&fault.Fault{
+							b.add(fault.Fault{
 								Model:      fault.Transition,
 								Net:        n,
 								Value:      val,
@@ -158,13 +216,13 @@ func (b *builder) vias() {
 						continue
 					}
 				}
-				key := netRule{n.ID, g.ID}
+				key := netRule{n.ID, gi}
 				if viaHits[key] {
 					continue
 				}
 				viaHits[key] = true
 				for val := uint8(0); val <= 1; val++ {
-					b.list.Add(&fault.Fault{
+					b.add(fault.Fault{
 						Model:     fault.Transition,
 						Net:       n,
 						Value:     val,
@@ -183,19 +241,20 @@ func (b *builder) vias() {
 // direction, once per (net pair, guideline).
 func (b *builder) bridges() {
 	hits := map[pairRule]bool{}
-	apply := func(g *Guideline, aID, bID int) {
+	apply := func(gi, aID, bID int) {
 		if aID > bID {
 			aID, bID = bID, aID
 		}
-		key := pairRule{aID, bID, g.ID}
+		key := pairRule{aID, bID, gi}
 		if hits[key] {
 			return
 		}
 		hits[key] = true
-		b.rep.hit(g)
+		b.hits[gi]++
 		na, nb := b.c.Nets[aID], b.c.Nets[bID]
-		b.list.Add(&fault.Fault{Model: fault.Bridge, Net: na, Other: nb, Guideline: g.ID})
-		b.list.Add(&fault.Fault{Model: fault.Bridge, Net: nb, Other: na, Guideline: g.ID})
+		id := b.gs[gi].ID
+		b.add(fault.Fault{Model: fault.Bridge, Net: na, Other: nb, Guideline: id})
+		b.add(fault.Fault{Model: fault.Bridge, Net: nb, Other: na, Guideline: id})
 	}
 	for li := 0; li < 2; li++ {
 		layer := route.Layer(li) + route.M2
@@ -204,9 +263,9 @@ func (b *builder) bridges() {
 				if len(occ) >= 2 {
 					if a, bid, ok := firstDistinct(occ); ok {
 						b.stats.BridgePairs++
-						for _, g := range b.gs {
+						for gi, g := range b.gs {
 							if g.CheckSpacing != nil && g.CheckSpacing(layer, len(occ), false) {
-								apply(g, a, bid)
+								apply(gi, a, bid)
 							}
 						}
 					}
@@ -214,9 +273,9 @@ func (b *builder) bridges() {
 				if len(occ) >= 1 {
 					if nb := neighborOcc(b.lay, li, x, y); nb >= 0 && nb != int(occ[0]) {
 						b.stats.BridgePairs++
-						for _, g := range b.gs {
+						for gi, g := range b.gs {
 							if g.CheckSpacing != nil && g.CheckSpacing(layer, len(occ), true) {
-								apply(g, int(occ[0]), nb)
+								apply(gi, int(occ[0]), nb)
 							}
 						}
 					}
@@ -232,18 +291,18 @@ func (b *builder) segments() {
 	for _, n := range b.c.Nets {
 		r := &b.lay.Routes[n.ID]
 		for _, s := range r.Segs {
-			for _, g := range b.gs {
+			for gi, g := range b.gs {
 				if g.CheckSegment == nil || !g.CheckSegment(s) {
 					continue
 				}
-				key := netRule{n.ID, g.ID}
+				key := netRule{n.ID, gi}
 				if segHits[key] {
 					continue
 				}
 				segHits[key] = true
-				b.rep.hit(g)
+				b.hits[gi]++
 				for val := uint8(0); val <= 1; val++ {
-					b.list.Add(&fault.Fault{
+					b.add(fault.Fault{
 						Model:     fault.Transition,
 						Net:       n,
 						Value:     val,
@@ -261,7 +320,7 @@ func (b *builder) segments() {
 // with the most cells in the window, smallest ID on ties.
 func (b *builder) densities() {
 	densHits := map[netRule]bool{}
-	for _, g := range b.gs {
+	for gi, g := range b.gs {
 		if g.CheckDensity == nil {
 			continue
 		}
@@ -288,15 +347,15 @@ func (b *builder) densities() {
 				if dom < 0 {
 					return
 				}
-				key := netRule{dom, g.ID}
+				key := netRule{dom, gi}
 				if densHits[key] {
 					return
 				}
 				densHits[key] = true
-				b.rep.hit(g)
+				b.hits[gi]++
 				n := b.c.Nets[dom]
 				for val := uint8(0); val <= 1; val++ {
-					b.list.Add(&fault.Fault{
+					b.add(fault.Fault{
 						Model:     fault.StuckAt,
 						Net:       n,
 						Value:     val,

@@ -4,6 +4,7 @@ import (
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/library"
 	"dfmresyn/internal/netlist"
+	"dfmresyn/internal/switchsim"
 )
 
 // The hasher computes, in two O(circuit) passes, the ingredients of every
@@ -72,23 +73,30 @@ func addKey(a, b Key) Key {
 }
 
 // Hasher holds the per-net structural hashes of one circuit. Construction
-// is O(gates + nets); FaultKey is O(1) per fault. A Hasher is immutable
-// after construction and safe for concurrent use.
+// is O(gates + nets); FaultKey is O(1) per fault. FaultKey memoizes each
+// cell-aware behaviour's key prefix in the Hasher, so a Hasher is not safe
+// for concurrent use: one goroutine at a time may call FaultKey.
 type Hasher struct {
 	c       *netlist.Circuit
 	tfi     []Key
 	cone    []Key
 	gateSig []Key
+	// behavior maps a cell-aware behaviour to the key state after its
+	// fields are absorbed: every fault of one behaviour continues from it.
+	// Behaviours are shared, immutable library-profile entries, so one
+	// pointer always stands for the same fields.
+	behavior map[*switchsim.Behavior]Key
 }
 
 // NewHasher computes the structural hashes of the circuit. The circuit must
 // be acyclic (it is levelized internally).
 func NewHasher(c *netlist.Circuit) *Hasher {
 	h := &Hasher{
-		c:       c,
-		tfi:     make([]Key, len(c.Nets)),
-		cone:    make([]Key, len(c.Nets)),
-		gateSig: make([]Key, len(c.Gates)),
+		c:        c,
+		tfi:      make([]Key, len(c.Nets)),
+		cone:     make([]Key, len(c.Nets)),
+		gateSig:  make([]Key, len(c.Gates)),
+		behavior: make(map[*switchsim.Behavior]Key),
 	}
 	order := c.Levelize()
 
@@ -171,6 +179,9 @@ func (h *Hasher) FaultKey(f *fault.Fault) Key {
 	if f == nil {
 		return Key{}
 	}
+	if f.Model == fault.CellAware {
+		return h.cellAwareKey(f)
+	}
 	k := absorb(absorb(Key{}, tagFault), uint64(f.Model))
 	switch f.Model {
 	case fault.StuckAt, fault.Transition:
@@ -198,19 +209,36 @@ func (h *Hasher) FaultKey(f *fault.Fault) Key {
 		k = combine(k, h.tfi[f.Other.ID])
 		k = combine(k, h.cone[f.Other.ID])
 		return k
-	case fault.CellAware:
-		if !h.liveGate(f.Gate) || f.Behavior == nil {
-			return Key{}
-		}
-		b := f.Behavior
-		k = absorb(absorb(k, uint64(b.Inputs)), b.StaticMask)
-		k = absorb(k, uint64(len(b.PairMask)))
-		for _, pm := range b.PairMask {
-			k = absorb(k, pm)
-		}
-		k = combine(k, h.gateSig[f.Gate.ID])
-		k = combine(k, h.cone[f.Gate.Out.ID])
-		return k
 	}
 	return Key{}
+}
+
+// cellAwareKey is FaultKey of a cell-aware fault: the model, the
+// behaviour's fields, then the host gate's signature and output cone. The
+// prefix up to the behaviour is the same for every fault of one behaviour,
+// so it is absorbed once per Hasher and continued from.
+func (h *Hasher) cellAwareKey(f *fault.Fault) Key {
+	if !h.liveGate(f.Gate) || f.Behavior == nil {
+		return Key{}
+	}
+	k, ok := h.behavior[f.Behavior]
+	if !ok {
+		k = behaviorPrefix(f.Behavior)
+		h.behavior[f.Behavior] = k
+	}
+	k = combine(k, h.gateSig[f.Gate.ID])
+	return combine(k, h.cone[f.Gate.Out.ID])
+}
+
+// behaviorPrefix absorbs the cell-aware model tag and a behaviour's fields:
+// the input count, the static mask, the pattern-pair mask's length and its
+// words.
+func behaviorPrefix(b *switchsim.Behavior) Key {
+	k := absorb(absorb(Key{}, tagFault), uint64(fault.CellAware))
+	k = absorb(absorb(k, uint64(b.Inputs)), b.StaticMask)
+	k = absorb(k, uint64(len(b.PairMask)))
+	for _, pm := range b.PairMask {
+		k = absorb(k, pm)
+	}
+	return k
 }

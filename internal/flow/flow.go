@@ -352,21 +352,7 @@ func (e *Env) routeAndTime(p *place.Placement) (*Design, error) {
 // InternalFaultList builds the internal-only fault list of a netlist (no
 // layout needed: internal faults do not depend on placement and routing).
 func (e *Env) InternalFaultList(c *netlist.Circuit) *fault.List {
-	l := &fault.List{}
-	for _, g := range c.Gates {
-		for i := range e.Prof.PerCell[g.Type.Index] {
-			cd := &e.Prof.PerCell[g.Type.Index][i]
-			l.Add(&fault.Fault{
-				Model:     fault.CellAware,
-				Internal:  true,
-				Gate:      g,
-				Defect:    cd.Defect,
-				Behavior:  cd.Behavior,
-				Guideline: cd.Guideline,
-			})
-		}
-	}
-	return l
+	return dfm.InternalFaults(c, e.Prof)
 }
 
 // UndetectableInternal counts the proven-undetectable internal faults of a

@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dfmresyn/internal/geom"
@@ -93,35 +92,6 @@ func PlaceIncremental(c *netlist.Circuit, prev *Placement, seed int64) (*Placeme
 	}
 
 	p.placePads()
-	p.refineAmong(newGates, seed)
+	p.refine(newGates, seed)
 	return p, nil
-}
-
-// refineAmong runs HPWL-improving swaps restricted to the given gates.
-func (p *Placement) refineAmong(gates []*netlist.Gate, seed int64) {
-	if len(gates) < 2 {
-		return
-	}
-	rng := rand.New(rand.NewSource(seed))
-	gateCost := func(g *netlist.Gate) int {
-		cost := geom.HPWL(p.NetTerminals(g.Out))
-		for _, in := range g.Fanin {
-			cost += geom.HPWL(p.NetTerminals(in))
-		}
-		return cost
-	}
-	moves := 12 * len(gates)
-	for m := 0; m < moves; m++ {
-		a := gates[rng.Intn(len(gates))]
-		b := gates[rng.Intn(len(gates))]
-		if a == b || p.W[a.ID] != p.W[b.ID] {
-			continue
-		}
-		before := gateCost(a) + gateCost(b)
-		p.Loc[a.ID], p.Loc[b.ID] = p.Loc[b.ID], p.Loc[a.ID]
-		after := gateCost(a) + gateCost(b)
-		if after >= before {
-			p.Loc[a.ID], p.Loc[b.ID] = p.Loc[b.ID], p.Loc[a.ID]
-		}
-	}
 }

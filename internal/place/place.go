@@ -33,11 +33,11 @@ type Placement struct {
 	PIPad []geom.Pt // per PI index: pad location on the left edge
 	POPad []geom.Pt // per PO index: pad location on the right edge
 
-	// piIdx/poIdx map a net to its pad index — built by placePads so
-	// NetTerminals resolves pads in O(1) instead of scanning the PI/PO
-	// lists per call (NetTerminals sits under every HPWL evaluation of
-	// the swap refiner and every net the router processes).
-	piIdx, poIdx map[*netlist.Net]int
+	// piIdx/poIdx map a net ID to its pad index, -1 for a net without
+	// one — built by placePads so a net's pads resolve by one slice read
+	// (under every HPWL evaluation of the swap refiner and every net the
+	// router processes).
+	piIdx, poIdx []int32
 }
 
 // CellWidth returns the grid width of a gate (ceil of cell area).
@@ -135,7 +135,7 @@ func PlaceInDie(c *netlist.Circuit, die geom.Rect, seed int64) (*Placement, erro
 	}
 
 	p.placePads()
-	p.refine(seed)
+	p.refine(c.Gates, seed)
 	return p, nil
 }
 
@@ -159,18 +159,23 @@ func (p *Placement) placePads() {
 		}
 		p.POPad[i] = geom.Pt{X: p.Die.X1 - 1, Y: y}
 	}
-	p.piIdx = make(map[*netlist.Net]int, len(c.PIs))
-	for i, n := range c.PIs {
-		if _, dup := p.piIdx[n]; !dup {
-			p.piIdx[n] = i
+	p.piIdx = padIndex(len(c.Nets), c.PIs)
+	p.poIdx = padIndex(len(c.Nets), c.POs)
+}
+
+// padIndex maps each net ID to the position of its first occurrence in
+// pads, -1 for a net not in pads.
+func padIndex(nets int, pads []*netlist.Net) []int32 {
+	idx := make([]int32, nets)
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, n := range pads {
+		if idx[n.ID] < 0 {
+			idx[n.ID] = int32(i)
 		}
 	}
-	p.poIdx = make(map[*netlist.Net]int, len(c.POs))
-	for i, n := range c.POs {
-		if _, dup := p.poIdx[n]; !dup {
-			p.poIdx[n] = i
-		}
-	}
+	return idx
 }
 
 // NetTerminals returns the terminal points of a net: the driver cell or PI
@@ -179,18 +184,59 @@ func (p *Placement) NetTerminals(n *netlist.Net) []geom.Pt {
 	var pts []geom.Pt
 	if n.Driver != nil {
 		pts = append(pts, p.Loc[n.Driver.ID])
-	} else if i, ok := p.piIdx[n]; ok {
+	} else if i := p.piIdx[n.ID]; i >= 0 {
 		pts = append(pts, p.PIPad[i])
 	}
 	for _, pin := range n.Fanout {
 		pts = append(pts, p.Loc[pin.Gate.ID])
 	}
 	if n.IsPO {
-		if i, ok := p.poIdx[n]; ok {
+		if i := p.poIdx[n.ID]; i >= 0 {
 			pts = append(pts, p.POPad[i])
 		}
 	}
 	return pts
+}
+
+// netHPWL is geom.HPWL(p.NetTerminals(n)), computed in one pass over the
+// same terminals without building the slice: the swap refiner's cost,
+// evaluated for every net of both swapped gates on every move.
+func (p *Placement) netHPWL(n *netlist.Net) int {
+	var b box
+	if n.Driver != nil {
+		b.add(p.Loc[n.Driver.ID])
+	} else if i := p.piIdx[n.ID]; i >= 0 {
+		b.add(p.PIPad[i])
+	}
+	for _, pin := range n.Fanout {
+		b.add(p.Loc[pin.Gate.ID])
+	}
+	if n.IsPO {
+		if i := p.poIdx[n.ID]; i >= 0 {
+			b.add(p.POPad[i])
+		}
+	}
+	return b.hpwl()
+}
+
+// box is the bounding box of the points added to it.
+type box struct {
+	x0, y0, x1, y1 int
+	set            bool
+}
+
+func (b *box) add(pt geom.Pt) {
+	if !b.set {
+		*b = box{pt.X, pt.Y, pt.X, pt.Y, true}
+		return
+	}
+	b.x0, b.x1 = min(b.x0, pt.X), max(b.x1, pt.X)
+	b.y0, b.y1 = min(b.y0, pt.Y), max(b.y1, pt.Y)
+}
+
+// hpwl is the box's half-perimeter, 0 when it holds no point.
+func (b *box) hpwl() int {
+	return (b.x1 - b.x0) + (b.y1 - b.y0)
 }
 
 // VerifyLegal checks the placement against the die: every cell footprint
@@ -230,28 +276,33 @@ func (p *Placement) WireLength() int {
 	return total
 }
 
-// refine runs greedy pairwise location swaps between same-width gates,
-// accepting only HPWL improvements. Deterministic under the seed.
-func (p *Placement) refine(seed int64) {
-	c := p.C
-	if len(c.Gates) < 2 {
+// refine runs greedy pairwise location swaps among the given gates,
+// accepting only HPWL improvements: 12 moves per gate, each swapping two
+// random same-width gates and keeping the swap only if the HPWL of the nets
+// touching them falls. Deterministic under the seed.
+func (p *Placement) refine(gates []*netlist.Gate, seed int64) {
+	if len(gates) < 2 {
+		return
+	}
+	if testHookRefine != nil {
+		testHookRefine(p, gates, seed)
 		return
 	}
 	rng := rand.New(rand.NewSource(seed))
 
 	// Incremental cost: HPWL of the nets touching a gate.
 	gateCost := func(g *netlist.Gate) int {
-		cost := geom.HPWL(p.NetTerminals(g.Out))
+		cost := p.netHPWL(g.Out)
 		for _, in := range g.Fanin {
-			cost += geom.HPWL(p.NetTerminals(in))
+			cost += p.netHPWL(in)
 		}
 		return cost
 	}
 
-	moves := 12 * len(c.Gates)
+	moves := 12 * len(gates)
 	for m := 0; m < moves; m++ {
-		a := c.Gates[rng.Intn(len(c.Gates))]
-		b := c.Gates[rng.Intn(len(c.Gates))]
+		a := gates[rng.Intn(len(gates))]
+		b := gates[rng.Intn(len(gates))]
 		if a == b || p.W[a.ID] != p.W[b.ID] {
 			continue
 		}
@@ -263,3 +314,7 @@ func (p *Placement) refine(seed int64) {
 		}
 	}
 }
+
+// testHookRefine, set only by tests, replaces the swap refiner: the tests
+// run a reference refiner through it.
+var testHookRefine func(p *Placement, gates []*netlist.Gate, seed int64)
